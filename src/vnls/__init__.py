@@ -81,4 +81,23 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EpochRecord", "SRState", "TrainConfig", "enumerate_beta", "enumerate_born",
+    "estimate_fisher", "estimate_gradient", "estimate_objective",
+    "estimate_variance", "local_energy_h", "local_energy_vnls", "sr_step",
+    "train_vnls", "train_vqmc", "vnls_local_energies",
+    "CapabilityError", "ParseError",
+    "PauliSum", "PauliTerm", "apply_squared_row", "apply_sum_row",
+    "apply_term_row", "apply_to_state", "embed_hermitian", "identity_sum",
+    "load_operator", "parse_pauli_sum", "save_operator", "to_dense",
+    "OracleReport", "check_error_bound", "exact_loss", "exact_solve",
+    "extremal_eigs", "fidelity", "ground_state", "ising_identities",
+    "operator_norm_and_condition", "rayleigh_quotient", "to_sparse",
+    "trace_distance",
+    "LinearProblem", "ising_perturbation_scale", "ising_problem",
+    "load_problem", "random_pauli_problem", "save_problem",
+    "ChainState", "SampleBatch", "acceptance_stats", "metropolis_sample",
+    "sample_beta",
+    "DenseState", "Rbm", "Wavefunction", "dense_vector", "init_gaussian",
+    "load_checkpoint", "log2cosh", "save_checkpoint", "spins",
+]

@@ -396,7 +396,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, FileNotFoundError, IsADirectoryError, OSError,
-            ValueError) as exc:
+            ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -311,10 +311,19 @@ def enumerate_beta(b):
     return batch, w / w.sum()
 
 
+def _check_finite(epoch, name, value, last_loss):
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError(
+            f"training diverged at epoch {epoch}: {name} is not finite "
+            f"(last finite loss {last_loss}); the model keeps its last finite "
+            "parameters")
+
+
 def _train(psi, config, energy_fn, target):
     config.validate()
     records = []
     warned = False
+    last_loss = None
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         batch, chain_states = metropolis_sample(
@@ -324,11 +333,15 @@ def _train(psi, config, energy_fn, target):
         l = energy_fn(psi, batch, epoch)
         o = psi.log_grad(batch.indices)
         l_hat = complex(np.mean(l))
+        _check_finite(epoch, "mean local energy", l_hat, last_loss)
+        last_loss = l_hat.real
         variance = float(np.mean(np.abs(l - l_hat) ** 2))
         g = estimate_gradient(l, o, l_hat=l_hat)
+        _check_finite(epoch, "gradient", g, last_loss)
         f = estimate_fisher(o)
         theta, fallback = sr_step(psi.get_params(), SRState(
             g, f, config.learning_rate, config.shift, config.ridge))
+        _check_finite(epoch, "updated parameters", theta, last_loss)
         psi.set_params(theta)
 
         fid = None

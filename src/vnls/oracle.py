@@ -3,7 +3,9 @@
 Everything here enumerates the full 2^n-dimensional space, so it exists to
 check the stochastic machinery, not to compete with it.  Matrices are kept
 sparse (CSR assembled from the O(n) row lookup); full dense matrices are
-only formed for small n where LAPACK is cheaper than Lanczos.
+only formed for small n where LAPACK is cheaper than Lanczos.  Linear
+solves use conjugate gradients on that CSR, because the X terms make its
+sparsity graph a hypercube on which sparse LU fills in almost completely.
 """
 
 from __future__ import annotations
@@ -51,23 +53,36 @@ def _as_vector(state, limit=DENSE_STATE_LIMIT):
 
 
 def exact_solve(a, b, limit=DENSE_STATE_LIMIT):
-    """x = A^{-1} b by sparse LU, with a residual guarantee.
+    """x = A^{-1} b, with a residual guarantee.
+
+    A Hermitian PauliSum is solved by conjugate gradients from zero, which
+    needs only products with its CSR matrix.  Any other A, and a Hermitian
+    one on which CG misses the residual bound (breakdown on an indefinite
+    spectrum, or a near-singular A), is solved by sparse LU.
 
     Raises numpy.linalg.LinAlgError when A is singular or so
     ill-conditioned that the relative residual exceeds 1e-10.
     """
     vec = _as_vector(b, limit)
     mat = to_sparse(a, limit) if isinstance(a, PauliSum) else sp.csc_matrix(a)
+    tol = 1e-10 * max(np.linalg.norm(vec), 1e-300)
+
+    def trustworthy(x):
+        return bool(np.all(np.isfinite(x))
+                    and np.linalg.norm(mat @ x - vec) <= tol)
+
+    if isinstance(a, PauliSum) and a.is_hermitian:
+        # exact-arithmetic CG ends within dim steps; a breakdown divides by
+        # zero inside cg and leaves non-finite x for the residual check
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x, _ = spla.cg(mat, vec, rtol=1e-12, atol=0.0,
+                           maxiter=mat.shape[0])
+        if trustworthy(x):
+            return x
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = spla.spsolve(mat.tocsc(), vec)
-    x = np.asarray(x, dtype=np.complex128)
-    norm_b = np.linalg.norm(vec)
-    ok = np.all(np.isfinite(x))
-    if ok:
-        residual = np.linalg.norm(mat @ x - vec)
-        ok = residual <= 1e-10 * max(norm_b, 1e-300)
-    if not ok:
+        x = np.asarray(spla.spsolve(mat.tocsc(), vec), dtype=np.complex128)
+    if not trustworthy(x):
         raise np.linalg.LinAlgError("singular or too ill-conditioned for a "
                                     "trustworthy exact solve")
     return x

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from vnls import PauliSum, PauliTerm, save_operator
+from vnls import PauliSum, PauliTerm, random_pauli_problem, save_operator, save_problem
 from vnls.cli import CSV_HEADER, main
 
 FAST = ["--epochs", "4", "--batch-size", "64", "--chains", "2"]
@@ -146,6 +146,18 @@ def test_solve_oracle_every_needs_small_n():
     # exact tracking on a problem beyond the dense limit is a config error
     assert run(["solve", "--ising", 4, 10, "--oracle-every", 1,
                 "--dense-limit", 3, "-o", "/tmp/never.csv"] + FAST) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_solve_exits_2_with_diagnosis(tmp_path, capsys):
+    # not normalised: the RBM's amplitudes overflow in epoch 2 at this step
+    path = tmp_path / "p.txt"
+    save_problem(random_pauli_problem(10, terms=40, seed=0), path)
+    code, _, err = run(["solve", "--problem", path, "--lr", 0.02, "--epochs", 10,
+                        "--batch-size", 128, "--chains", 4, "--seed", 0,
+                        "-o", tmp_path / "run.csv"], capsys)
+    assert code == 2
+    assert "training diverged at epoch 2" in err
 
 
 @pytest.mark.parametrize("argv", [

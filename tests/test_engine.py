@@ -19,6 +19,7 @@ from vnls import (
     local_energy_h,
     local_energy_vnls,
     parse_pauli_sum,
+    random_pauli_problem,
     sample_beta,
     sr_step,
     train_vnls,
@@ -254,6 +255,32 @@ def test_train_vnls_identity_problem_fast():
         epochs=120, batch_size=256, chains=4, learning_rate=0.05, seed=1))
     assert records[0].loss > 0.1
     assert abs(records[-1].loss) < 2e-2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_stops_with_diagnosis():
+    # an operator that is not normalised: at this step size the parameters
+    # reach ~2e5 after two SR steps and the amplitudes overflow in epoch 2
+    prob = random_pauli_problem(10, terms=40, seed=0)
+    psi = init_gaussian(10, seed=0, flavor="real")
+    written = []
+    set_params = psi.set_params
+
+    def record(theta):
+        written.append(theta.copy())
+        set_params(theta)
+
+    psi.set_params = record
+    with pytest.raises(FloatingPointError) as err:
+        train_vnls(prob.a, prob.b, psi, TrainConfig(
+            epochs=10, batch_size=128, chains=4, learning_rate=0.02, seed=0))
+    msg = str(err.value)
+    assert "epoch 2: mean local energy is not finite" in msg
+    last_loss = float(msg.split("last finite loss ")[1].split(")")[0])
+    assert np.isfinite(last_loss)
+    assert len(written) == 2
+    assert np.array_equal(psi.get_params(), written[-1])
+    assert np.all(np.isfinite(written[-1]))
 
 
 def test_train_from_eigenstate_has_zero_variance_column():

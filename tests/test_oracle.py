@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from vnls import (
     CapabilityError,
@@ -26,7 +27,8 @@ from vnls import (
     trace_distance,
 )
 
-from conftest import dense_rayleigh, dense_vnls_loss, kron_sum, random_state, random_sum
+from conftest import (dense_rayleigh, dense_vnls_loss, kron_sum, random_state,
+                      random_sum, random_terms)
 
 
 def diag_sum(c_id, c_z):
@@ -60,6 +62,61 @@ def test_exact_solve_random_residual(rng):
         mat = kron_sum(p.a)
         res = np.linalg.norm(mat @ x - p.b.amplitudes)
         assert res <= 1e-10 * np.linalg.norm(p.b.amplitudes)
+
+
+def solver_calls(monkeypatch):
+    """Record which scipy solver each exact_solve call reaches."""
+    calls = []
+    for name in ("cg", "spsolve"):
+        def wrapped(*args, _name=name, _real=getattr(spla, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(spla, name, wrapped)
+    return calls
+
+
+def assert_matches_dense_solve(a, b):
+    x = exact_solve(a, b)
+    want = np.linalg.solve(kron_sum(a), b)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_exact_solve_complex_hermitian_by_cg(rng, monkeypatch):
+    calls = solver_calls(monkeypatch)
+    for n in (2, 4, 6):
+        # Y0 X_{n-1} has imaginary entries; the shift makes A positive definite
+        terms = random_terms(rng, n, 8) + [PauliTerm(0.7, {0: "Y", n - 1: "X"}, n)]
+        shift = sum(abs(t.coefficient) for t in terms) + 0.5
+        a = PauliSum(terms + [PauliTerm(shift, {}, n)], n)
+        assert np.abs(kron_sum(a).imag).max() > 0.0
+        assert_matches_dense_solve(a, random_state(rng, 1 << n))
+    assert calls == ["cg"] * 3
+
+
+def test_exact_solve_indefinite_hermitian(rng, monkeypatch):
+    # spectrum of sum_j X_j + 0.3 I is {n - 2k + 0.3}: both signs, no zero
+    calls = solver_calls(monkeypatch)
+    for n in (3, 6):
+        a = PauliSum([PauliTerm(1.0, {j: "X"}, n) for j in range(n)]
+                     + [PauliTerm(0.3, {}, n)], n)
+        assert_matches_dense_solve(a, random_state(rng, 1 << n))
+    assert calls.count("cg") == 2
+
+
+def test_exact_solve_non_hermitian_by_lu(rng, monkeypatch):
+    calls = solver_calls(monkeypatch)
+    p = random_pauli_problem(5, terms=6, seed=4)
+    a = PauliSum(p.a.terms + [PauliTerm(0.2 + 0.3j, {1: "Z", 3: "Y"}, 5)], 5)
+    assert not a.is_hermitian
+    assert_matches_dense_solve(a, p.b.amplitudes)
+    assert calls == ["spsolve"]
+
+
+def test_exact_solve_residual_at_the_size_limit():
+    p = ising_problem(14, 10.0)
+    x = exact_solve(p.a, p.b)
+    res = np.linalg.norm(to_sparse(p.a) @ x - p.b.amplitudes)
+    assert res <= 1e-10 * np.linalg.norm(p.b.amplitudes)
 
 
 def test_to_sparse_matches_dense(rng):
