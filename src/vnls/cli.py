@@ -24,7 +24,7 @@ import numpy as np
 from .engine import TrainConfig, train_vnls, train_vqmc
 from .errors import CapabilityError, ParseError
 from .oracle import check_error_bound, exact_solve, fidelity, ising_identities
-from .operators import load_operator
+from .operators import DENSE_LIMIT, load_operator
 from .problems import ising_problem, load_problem
 from .states import dense_vector, init_gaussian, load_checkpoint, save_checkpoint
 
@@ -47,7 +47,7 @@ _DEFAULTS = {
     "thin": None,
     "seed": 0,
     "oracle_every": 0,
-    "dense_limit": 14,
+    "dense_limit": DENSE_LIMIT,
 }
 
 _POSITIVE = ("alpha", "lr", "shift", "ridge", "batch_size", "chains",

@@ -10,9 +10,15 @@ which vanishes exactly when A psi is proportional to b, i.e. when psi is
 proportional to A^{-1} b.  Both are Monte Carlo averages of a local energy
 l(x), estimated on samples of pi(x) = |psi(x)|^2 / <psi|psi>.
 
-All per-epoch amplitude work is funneled through a deduplicated table of
-log psi values with a shared magnitude shift; the shift cancels in every
-ratio the estimators form, so nothing here can overflow on its own.
+Local energies read operator rows from each sum's compiled RowForm (see
+operators): the solver's l(x) needs one grouped expansion of A^2 at the
+pi-samples, plus grouped rows of A at the beta samples and for (A b)(x), so
+each distinct column of a row costs one amplitude read.  All per-epoch
+amplitude work is funneled through a deduplicated table of psi values.
+Stored vectors are read linearly, which keeps their exact zeros; every
+other model is read as log psi with one shared magnitude shift, which
+cancels in every ratio the estimators form, so nothing here can overflow
+on its own.
 """
 
 from __future__ import annotations
@@ -20,14 +26,17 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import CapabilityError
-from .operators import apply_to_state, expand_rows
+# expand_rows is not called here; it stays a module attribute because
+# perfbench's traced replay wraps engine.expand_rows and apply_to_state
+from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
 from .sampling import SampleBatch, acceptance_stats, metropolis_sample, sample_beta
-from .states import dense_vector
+from .states import DenseState, dense_vector
 
 _PI_STREAM = 0
 _BETA_STREAM = 1
@@ -36,38 +45,52 @@ _BETA_STREAM = 1
 class _AmpTable:
     """Deduplicated psi evaluations at every index an epoch touches.
 
-    ``scaled_amps`` returns psi divided by its largest touched magnitude,
-    so downstream ratios never overflow.  States that expose an ``amp``
-    method are evaluated linearly, which keeps exact zeros (their log is
-    -inf and they contribute nothing to any row sum); log-space models go
+    Built from a list of index arrays, all deduplicated by one np.unique;
+    ``log_amps(k)`` and ``scaled_amps(k)`` return the values at the k-th
+    array's indices, in its shape.  ``scaled_amps`` is psi divided by its
+    largest touched magnitude, so downstream ratios never overflow.  A
+    DenseState is read linearly, which keeps exact zeros (their log is -inf
+    and they contribute nothing to any row sum); every other model goes
     through ``log_amp`` with the shift applied in the exponent.
     """
 
     def __init__(self, psi, index_arrays):
-        parts = [np.asarray(a, dtype=np.int64).reshape(-1) for a in index_arrays]
-        stacked = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-        self.indices = np.unique(stacked)
-        amp_fn = getattr(psi, "amp", None)
-        if callable(amp_fn):
-            amps = np.asarray(amp_fn(self.indices), dtype=np.complex128).reshape(-1)
-            top = float(np.abs(amps).max()) if amps.size else 0.0
+        arrays = [np.asarray(a, dtype=np.int64) for a in index_arrays]
+        indices, inverse = np.unique(
+            np.concatenate([a.reshape(-1) for a in arrays]), return_inverse=True)
+        cuts = np.cumsum([a.size for a in arrays])[:-1]
+        self._slots = [s.reshape(a.shape)
+                       for s, a in zip(np.split(inverse, cuts), arrays)]
+        self._linear = isinstance(psi, DenseState)
+        if self._linear:
+            self._values = psi.amplitudes[indices]
+            top = float(np.abs(self._values).max()) if indices.size else 0.0
             self._unscale = top if top > 0.0 else 1.0
-            self._scaled = amps / self._unscale
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self._log_amps = np.log(amps)
         else:
-            la = np.asarray(psi.log_amp(self.indices), dtype=np.complex128).reshape(-1)
-            shift = float(la.real.max()) if la.size else 0.0
+            self._values = np.asarray(psi.log_amp(indices),
+                                      dtype=np.complex128).reshape(-1)
+            self._shift = float(self._values.real.max()) if indices.size else 0.0
             with np.errstate(over="ignore"):
-                self._unscale = float(np.exp(shift))
-            self._log_amps = la
-            self._scaled = np.exp(la - shift)
+                self._unscale = float(np.exp(self._shift))
 
-    def log_amps(self, idx):
-        return self._log_amps[np.searchsorted(self.indices, np.asarray(idx, np.int64))]
+    @cached_property
+    def _log(self):
+        if not self._linear:
+            return self._values
+        with np.errstate(divide="ignore"):
+            return np.log(self._values)
 
-    def scaled_amps(self, idx):
-        return self._scaled[np.searchsorted(self.indices, np.asarray(idx, np.int64))]
+    @cached_property
+    def _scaled(self):
+        if self._linear:
+            return self._values / self._unscale
+        return np.exp(self._values - self._shift)
+
+    def log_amps(self, k):
+        return self._log[self._slots[k]]
+
+    def scaled_amps(self, k):
+        return self._scaled[self._slots[k]]
 
     def unscale(self, value):
         # restore a quantity linear in scaled psi to the true scale; may
@@ -79,19 +102,19 @@ class _AmpTable:
 def local_energy_h(h, psi, x, log_amp_x=None):
     """Local energy l(x) = (H psi)(x) / psi(x) in the log domain.
 
-    Each row entry contributes value * exp(log_amp(col) - log_amp(x)), so
-    any constant rescaling of psi drops out exactly.  ``log_amp_x`` may
-    pass cached values of log psi at x.
+    Each grouped row entry of H contributes value * exp(log_amp(col) -
+    log_amp(x)), so any constant rescaling of psi drops out exactly.
+    ``log_amp_x`` may pass cached values of log psi at x.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    cols, vals = expand_rows(h, xs)
+    cols, vals = h.row_form().rows(xs)
     if log_amp_x is None:
-        table = _AmpTable(psi, [xs, cols])
-        la_x = table.log_amps(xs)
+        table = _AmpTable(psi, [cols, xs])
+        la_x = table.log_amps(1)
     else:
         table = _AmpTable(psi, [cols])
         la_x = np.atleast_1d(np.asarray(log_amp_x, dtype=np.complex128))
-    out = (vals * np.exp(table.log_amps(cols) - la_x[:, None])).sum(axis=1)
+    out = (vals * np.exp(table.log_amps(0) - la_x[:, None])).sum(axis=1)
     return complex(out[0]) if np.asarray(x).ndim == 0 else out
 
 
@@ -115,22 +138,20 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
     bxs = np.asarray(beta_batch.indices, dtype=np.int64)
 
-    cols1, vals1 = expand_rows(a, xs)                    # rows of A at x
-    cols2, vals2 = expand_rows(a, cols1.reshape(-1))     # rows of A at those columns
-    bcols, bvals = expand_rows(a, bxs)                   # rows of A at beta samples
-    table = _AmpTable(psi, [xs, cols2, bcols])
+    sq_cols, sq_vals = a.square_form().rows(xs)         # rows of A^2 at x
+    bcols, bvals = a.row_form().rows(bxs)                # rows of A at beta samples
+    table = _AmpTable(psi, [xs, sq_cols, bcols])
 
-    apsi_beta = (bvals * table.scaled_amps(bcols)).sum(axis=1)
+    apsi_beta = (bvals * table.scaled_amps(2)).sum(axis=1)
     ratios = apsi_beta / b.amp(bxs)
     if beta_weights is None:
         e_hat = ratios.mean()
     else:
         e_hat = np.average(ratios, weights=np.asarray(beta_weights, dtype=np.float64))
 
-    inner = (vals2 * table.scaled_amps(cols2)).sum(axis=1).reshape(cols1.shape)
-    a2_psi = (vals1 * inner).sum(axis=1)                 # (A^2 psi)(x), shifted scale
+    a2_psi = (sq_vals * table.scaled_amps(1)).sum(axis=1)  # (A^2 psi)(x), shifted scale
     ab = np.asarray(apply_to_state(a, b, xs))            # (A b)(x), exact
-    l = (a2_psi - ab * e_hat) / table.scaled_amps(xs)
+    l = (a2_psi - ab * e_hat) / table.scaled_amps(0)
     return l, complex(table.unscale(e_hat))
 
 
@@ -258,7 +279,7 @@ class TrainConfig:
     ridge: float = 1e-6
     seed: int = 0
     oracle_every: int = 0           # 0 disables exact fidelity tracking
-    dense_limit: int = 14
+    dense_limit: int = DENSE_LIMIT
 
     def validate(self):
         if self.epochs < 0:
@@ -294,7 +315,7 @@ class EpochRecord:
     sr_fallback: bool = False
 
 
-def enumerate_born(psi, limit=14):
+def enumerate_born(psi, limit=DENSE_LIMIT):
     """Exact pi weights over the support of psi: (indices, probabilities)."""
     v = dense_vector(psi, limit)
     w = np.abs(v) ** 2

@@ -6,6 +6,14 @@ term has exactly one nonzero entry per row of its dense matrix, so row x of
 a T-term sum can be recovered in O(n*T) work without ever touching the
 2^n-dimensional space.
 
+Batch evaluation goes through a sum's RowForm, compiled once and cached on
+the sum: terms merged on their (flip, signs) masks and grouped by flip
+mask, so a row costs one parity per distinct Pauli string and yields one
+value per distinct column.  The square A^2 is compiled the same way from
+the pairwise products of A's strings, so (A^2 psi)(x) reads one amplitude
+per distinct column of row x of A^2: at most T(T+1)/2 for a T-term sum,
+and far fewer when strings share flip masks.
+
 Bit convention, fixed across the package: qubit 0 is the most significant
 bit of a basis index, matching the Kronecker order factor_0 (x) factor_1
 (x) ... (x) factor_{n-1} used by to_dense.
@@ -26,7 +34,8 @@ PAULI_MATRICES = {
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 
-# Largest qubit count for which dense 2^n x 2^n materialization is allowed.
+# Largest qubit count for anything that enumerates the 2^n basis: dense
+# matrices and vectors, the exact oracle and the CLI's --dense-limit default.
 DENSE_LIMIT = 14
 
 # Entries below this magnitude are dropped when merging a row.
@@ -95,6 +104,22 @@ class PauliSum:
         self.terms = terms
         self.n = n
         self.is_hermitian = all(t.coefficient.imag == 0.0 for t in terms)
+        self._row_form = None
+        self._square_form = None
+
+    def row_form(self):
+        """This sum's compiled RowForm, built on first use."""
+        if self._row_form is None:
+            self._row_form = RowForm(
+                [t._flip for t in self.terms], [t._signs for t in self.terms],
+                [t._weight for t in self.terms])
+        return self._row_form
+
+    def square_form(self):
+        """RowForm of this sum's square, built on first use."""
+        if self._square_form is None:
+            self._square_form = self.row_form().square()
+        return self._square_form
 
     def scaled(self, factor):
         """New sum with every coefficient multiplied by ``factor``."""
@@ -112,6 +137,72 @@ class PauliSum:
 
     def __repr__(self):
         return f"PauliSum({len(self.terms)} terms, n={self.n})"
+
+
+def _run_starts(*keys):
+    """Indices where a run of equal key tuples begins, for sorted keys."""
+    head = np.zeros(keys[0].size, dtype=bool)
+    head[:1] = True
+    for k in keys:
+        head[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(head)
+
+
+class RowForm:
+    """Rows of a Pauli sum compiled for batch evaluation.
+
+    Each Pauli string is an int64 pair (flip, signs) with a complex weight:
+    row x holds weight * (-1)^{popcount(x & signs)} at column x ^ flip.
+    Strings with equal pairs are merged (summed in input order) and exact
+    zeros dropped; the rest are sorted by flip, so the strings landing on
+    one column form a contiguous group starting at ``starts[g]``.
+    """
+
+    __slots__ = ("flips", "signs", "weights", "starts")
+
+    def __init__(self, flips, signs, weights):
+        flips = np.asarray(flips, dtype=np.int64)
+        signs = np.asarray(signs, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.complex128)
+        order = np.lexsort((signs, flips))  # stable: merges sum in input order
+        flips, signs, weights = flips[order], signs[order], weights[order]
+        first = _run_starts(flips, signs)
+        weights = np.add.reduceat(weights, first)
+        keep = weights != 0.0
+        self.flips = flips[first][keep]
+        self.signs = signs[first][keep]
+        self.weights = weights[keep]
+        self.starts = _run_starts(self.flips)
+
+    def square(self):
+        """RowForm of the square, as sum_i T_i^2 + sum_{i<j} {T_i, T_j}.
+
+        The product T_i T_j has flip f_i ^ f_j, signs s_i ^ s_j and weight
+        w_i w_j (-1)^{popcount(f_i & s_j)}.  Since w_i w_j == w_j w_i
+        bitwise, an anticommutator is either exactly 2 T_i T_j or exactly
+        zero, so anticommuting pairs vanish before any merging.
+        """
+        i, j = np.triu_indices(self.weights.size)
+        fi, fj = self.flips[i], self.flips[j]
+        si, sj = self.signs[i], self.signs[j]
+        wij = self.weights[i] * self.weights[j]
+        # bitwise_count returns uint8: make the signs float before negating
+        sign_ij = 1.0 - 2.0 * (np.bitwise_count(fi & sj) & 1)
+        sign_ji = 1.0 - 2.0 * (np.bitwise_count(fj & si) & 1)
+        return RowForm(fi ^ fj, si ^ sj,
+                       np.where(i == j, wij * sign_ij, wij * (sign_ij + sign_ji)))
+
+    def rows(self, x):
+        """Grouped rows at the indices x: (cols, vals), each (len(x), G).
+
+        One column and one merged value per flip group; a value may be an
+        exact zero where the group's strings cancel on that row.
+        """
+        xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
+        odd = (np.bitwise_count(xs[:, None] & self.signs) & 1).astype(bool)
+        vals = np.add.reduceat(np.where(odd, -self.weights, self.weights),
+                               self.starts, axis=1)
+        return xs[:, None] ^ self.flips[self.starts], vals
 
 
 def identity_sum(n, coefficient=1.0):
@@ -167,36 +258,34 @@ def _amp_oracle(psi):
     return psi.amp if hasattr(psi, "amp") else psi
 
 
-def apply_to_state(h, psi, x):
-    """(H psi)(x): row values of H times the amplitudes at their columns.
-
-    psi is an amplitude oracle (a Wavefunction or a callable on index
-    arrays).  Vectorizes over an array of rows.
-    """
+def _apply_form(form, psi, x):
     amp = _amp_oracle(psi)
     xs = np.asarray(x, dtype=np.int64)
-    cols, vals = expand_rows(h, xs)
+    cols, vals = form.rows(xs)
     amps = np.asarray(amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)
     out = (vals * amps).sum(axis=1)
     return complex(out[0]) if xs.ndim == 0 else out
 
 
-def apply_squared_row(a, psi, x):
-    """(A^2 psi)(x) for Hermitian a, via two nested row expansions.
+def apply_to_state(h, psi, x):
+    """(H psi)(x): grouped row values of H times the amplitudes at their
+    columns, one amplitude read per distinct column.
 
-    Costs O(T^2) amplitude reads per row for a T-term sum; the square is
-    never formed as an operator.
+    psi is an amplitude oracle (a Wavefunction or a callable on index
+    arrays).  Vectorizes over an array of rows.
+    """
+    return _apply_form(h.row_form(), psi, x)
+
+
+def apply_squared_row(a, psi, x):
+    """(A^2 psi)(x) for Hermitian a, from the rows of its compiled square.
+
+    Costs one amplitude read per distinct flip mask f_i ^ f_j of the
+    square's strings.
     """
     if not a.is_hermitian:
         raise ValueError("A must be Hermitian (real coefficients)")
-    amp = _amp_oracle(psi)
-    xs = np.asarray(x, dtype=np.int64)
-    cols1, vals1 = expand_rows(a, xs)
-    cols2, vals2 = expand_rows(a, cols1.reshape(-1))
-    amps = np.asarray(amp(cols2.reshape(-1)), dtype=np.complex128).reshape(cols2.shape)
-    inner = (vals2 * amps).sum(axis=1).reshape(cols1.shape)
-    out = (vals1 * inner).sum(axis=1)
-    return complex(out[0]) if xs.ndim == 0 else out
+    return _apply_form(a.square_form(), psi, x)
 
 
 def embed_hermitian(a):

@@ -18,14 +18,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CapabilityError
-from .operators import PauliSum, expand_rows, to_dense
+from .operators import DENSE_LIMIT, PauliSum, expand_rows, to_dense
 from .states import DenseState, Wavefunction, dense_vector
 
-DENSE_STATE_LIMIT = 14   # 2^n vectors
 DENSE_MATRIX_LIMIT = 10  # full 2^n x 2^n matrices, used below this or equal
 
 
-def to_sparse(h, limit=DENSE_STATE_LIMIT):
+def to_sparse(h, limit=DENSE_LIMIT):
     """CSR matrix of h, assembled row by row from the sparse row lookup."""
     if h.n > limit:
         raise CapabilityError(
@@ -41,7 +40,7 @@ def to_sparse(h, limit=DENSE_STATE_LIMIT):
     return mat
 
 
-def _as_vector(state, limit=DENSE_STATE_LIMIT):
+def _as_vector(state, limit=DENSE_LIMIT):
     if isinstance(state, DenseState):
         return state.amplitudes
     if isinstance(state, Wavefunction):
@@ -52,7 +51,7 @@ def _as_vector(state, limit=DENSE_STATE_LIMIT):
     return out
 
 
-def exact_solve(a, b, limit=DENSE_STATE_LIMIT):
+def exact_solve(a, b, limit=DENSE_LIMIT):
     """x = A^{-1} b, with a residual guarantee.
 
     A Hermitian PauliSum is solved by conjugate gradients from zero, which
@@ -104,7 +103,7 @@ def trace_distance(u, v):
     return float(np.sqrt(max(0.0, 1.0 - fidelity(u, v))))
 
 
-def exact_loss(a, b, psi, limit=DENSE_STATE_LIMIT):
+def exact_loss(a, b, psi, limit=DENSE_LIMIT):
     """Solver objective <psi|A Pb A|psi> / <psi|psi>, matrix-free.
 
     Pb projects out the b direction, so with w = A psi the value is
@@ -126,7 +125,7 @@ def _lanczos_extreme(mat, which):
                             return_eigenvectors=False)[0])
 
 
-def extremal_eigs(a, limit=DENSE_STATE_LIMIT):
+def extremal_eigs(a, limit=DENSE_LIMIT):
     """(lambda_min, lambda_max) of a Hermitian sum."""
     if not a.is_hermitian:
         raise ValueError("eigenvalue bounds need a Hermitian operator")
@@ -137,7 +136,7 @@ def extremal_eigs(a, limit=DENSE_STATE_LIMIT):
     return _lanczos_extreme(mat, "SA"), _lanczos_extreme(mat, "LA")
 
 
-def operator_norm_and_condition(a, limit=DENSE_STATE_LIMIT):
+def operator_norm_and_condition(a, limit=DENSE_LIMIT):
     """(||A||_2, kappa(A)) for Hermitian A.
 
     Singular values of a Hermitian matrix are |eigenvalues|; for an
@@ -163,7 +162,7 @@ def operator_norm_and_condition(a, limit=DENSE_STATE_LIMIT):
     return hi, hi / lo
 
 
-def ground_state(h, limit=DENSE_STATE_LIMIT):
+def ground_state(h, limit=DENSE_LIMIT):
     """Unit eigenvector of the smallest eigenvalue of Hermitian h."""
     if not h.is_hermitian:
         raise ValueError("ground state needs a Hermitian operator")
@@ -177,7 +176,7 @@ def ground_state(h, limit=DENSE_STATE_LIMIT):
     return vecs[:, 0]
 
 
-def rayleigh_quotient(h, psi, limit=DENSE_STATE_LIMIT):
+def rayleigh_quotient(h, psi, limit=DENSE_LIMIT):
     """<psi|H|psi> / <psi|psi> evaluated exactly."""
     v = _as_vector(psi, limit)
     w = to_sparse(h, limit) @ v
@@ -228,7 +227,7 @@ class OracleReport:
 
 
 def check_error_bound(a, b, psi, solution=None, spectrum=None,
-                      limit=DENSE_STATE_LIMIT):
+                      limit=DENSE_LIMIT):
     """Certify trace_distance(psi, A^{-1}b) <= kappa sqrt(L) / ||A||.
 
     The quotient kappa/||A|| equals 1/|lambda|_min, which makes the bound

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapabilityError
+from .operators import DENSE_LIMIT
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_SIGMA = {"real": 0.01, "complex": 0.05}
@@ -225,7 +226,7 @@ class DenseState(Wavefunction):
         return DenseState(self.amplitudes * factor)
 
 
-def dense_vector(psi, limit=14):
+def dense_vector(psi, limit=DENSE_LIMIT):
     """Enumerate psi over the full basis, returned unit-normalized.
 
     RBM amplitudes are shifted by the largest log magnitude before

@@ -383,3 +383,28 @@ def test_empty_beta_batch_rejected():
     empty = sample_beta(b, 0, seed=0)
     with pytest.raises(ValueError):
         vnls_local_energies(a, b, b, np.arange(4), empty)
+
+
+def test_extreme_rbm_energies_finite_at_peak():
+    # a_i = 400 puts log psi(0) near 3200, far beyond exp's range; both
+    # energies must come from log differences, never from exp(log psi)
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, seed=0)
+    theta = psi.get_params()
+    theta[:8] = 400.0
+    psi.set_params(theta)
+    beta = sample_beta(prob.b, 64, seed=1)
+    x = np.array([0], dtype=np.int64)
+    l, _ = vnls_local_energies(prob.a, prob.b, psi, x, beta)
+    lh = local_energy_h(prob.a, psi, x)
+    assert np.all(np.isfinite(l)) and np.all(np.isfinite(lh))
+
+    mat = kron_sum(prob.a)
+    la = psi.log_amp(np.arange(256, dtype=np.int64))
+    rel = np.exp(la - la[0])                  # psi(c) / psi(0)
+    bv = prob.b.amplitudes
+    bx = beta.indices
+    e_hat_rel = np.mean((mat[bx] @ rel) / bv[bx])  # Ehat / psi(0)
+    want = (mat @ mat)[0] @ rel - (mat @ bv)[0] * e_hat_rel
+    assert l[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert lh[0] == pytest.approx(mat[0] @ rel, rel=1e-12, abs=1e-12)
