@@ -10,8 +10,6 @@ from .engine import (
     EpochRecord,
     SRState,
     TrainConfig,
-    enumerate_beta,
-    enumerate_born,
     estimate_fisher,
     estimate_gradient,
     estimate_objective,
@@ -64,6 +62,8 @@ from .sampling import (
     ChainState,
     SampleBatch,
     acceptance_stats,
+    enumerate_beta,
+    enumerate_born,
     metropolis_sample,
     sample_beta,
 )

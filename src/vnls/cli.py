@@ -326,8 +326,11 @@ def _add_run_options(sub):
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--chains", type=int)
-    sub.add_argument("--burn-in", dest="burn_in", type=int)
-    sub.add_argument("--thin", type=int)
+    sub.add_argument("--burn-in", dest="burn_in", type=int,
+                     help="flips before each chain's first sample; burn-in runs "
+                          "once per training run (default 10*n*n)")
+    sub.add_argument("--thin", type=int,
+                     help="flips between samples (default n rounded up to odd)")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--oracle-every", dest="oracle_every", type=int,
                      help="exact fidelity every K epochs (0 = off)")

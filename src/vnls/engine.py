@@ -35,7 +35,7 @@ from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute because
 # perfbench's traced replay wraps engine.expand_rows and apply_to_state
 from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
-from .sampling import SampleBatch, acceptance_stats, metropolis_sample, sample_beta
+from .sampling import acceptance_stats, metropolis_sample, sample_beta
 from .states import DenseState, dense_vector
 
 _PI_STREAM = 0
@@ -93,10 +93,13 @@ class _AmpTable:
         return self._scaled[self._slots[k]]
 
     def unscale(self, value):
-        # restore a quantity linear in scaled psi to the true scale; may
-        # overflow to inf for states with extreme log magnitudes
-        with np.errstate(over="ignore", invalid="ignore"):
-            return value * self._unscale
+        # restore a complex scalar linear in scaled psi to the true scale;
+        # may overflow to inf for states with extreme log magnitudes.  The
+        # parts are scaled apart so that an exact zero part stays zero
+        # rather than becoming 0 * inf = nan.
+        value = complex(value)
+        re, im = (p * self._unscale if p else p for p in (value.real, value.imag))
+        return complex(re, im)
 
 
 def local_energy_h(h, psi, x, log_amp_x=None):
@@ -152,7 +155,7 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     a2_psi = (sq_vals * table.scaled_amps(1)).sum(axis=1)  # (A^2 psi)(x), shifted scale
     ab = np.asarray(apply_to_state(a, b, xs))            # (A b)(x), exact
     l = (a2_psi - ab * e_hat) / table.scaled_amps(0)
-    return l, complex(table.unscale(e_hat))
+    return l, table.unscale(e_hat)
 
 
 def local_energy_vnls(a, b, psi, x, beta_batch, beta_weights=None):
@@ -272,8 +275,9 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 1024
     chains: int = 8
-    burn_in: Optional[int] = None   # None -> sampler default 10*n*n
-    thin: Optional[int] = None      # None -> sampler default n
+    burn_in: Optional[int] = None   # flips before a chain's first sample, applied
+                                    # once per run (epoch 0); None -> 10*n*n
+    thin: Optional[int] = None      # None -> n rounded up to an odd number
     learning_rate: float = 0.005
     shift: float = 1e-2
     ridge: float = 1e-6
@@ -315,23 +319,6 @@ class EpochRecord:
     sr_fallback: bool = False
 
 
-def enumerate_born(psi, limit=DENSE_LIMIT):
-    """Exact pi weights over the support of psi: (indices, probabilities)."""
-    v = dense_vector(psi, limit)
-    w = np.abs(v) ** 2
-    support = np.flatnonzero(w)
-    return support.astype(np.int64), w[support] / w[support].sum()
-
-
-def enumerate_beta(b):
-    """Exact beta batch over the support of b: (SampleBatch, weights)."""
-    support = np.flatnonzero(b.amplitudes)
-    w = np.abs(b.amplitudes[support]) ** 2
-    batch = SampleBatch(indices=support.astype(np.int64), source="beta",
-                        log_amps=np.log(b.amplitudes[support]))
-    return batch, w / w.sum()
-
-
 def _check_finite(epoch, name, value, last_loss):
     if not np.all(np.isfinite(value)):
         raise FloatingPointError(
@@ -345,12 +332,14 @@ def _train(psi, config, energy_fn, target):
     records = []
     warned = False
     last_loss = None
+    chain_states = None  # the chains persist across epochs: burn-in runs once
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         batch, chain_states = metropolis_sample(
             psi, psi.n, config.batch_size, chains=config.chains,
-            burn_in=config.burn_in, thin=config.thin,
-            seed=(config.seed, _PI_STREAM, epoch))
+            burn_in=config.burn_in if chain_states is None else None,
+            thin=config.thin, seed=(config.seed, _PI_STREAM, epoch),
+            start=chain_states)
         l = energy_fn(psi, batch, epoch)
         o = psi.log_grad(batch.indices)
         l_hat = complex(np.mean(l))

@@ -4,11 +4,18 @@ pi(x) = |psi(x)|^2 / <psi|psi> is sampled by single-bit-flip Metropolis
 chains run in lockstep; beta(x) = |b(x)|^2 / <b|b> is sampled exactly by
 inverse CDF over the nonzero support of the stored vector b.
 
+A chain either starts fresh, from a uniformly drawn state on the support
+followed by burn-in, or is warm-started from the ChainState an earlier
+call returned; a warm-started chain draws no start state and, by default,
+takes no burn-in, so training pays burn-in once per run, not per epoch.
+
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
 numpy's SeedSequence spawn keys, and all of a chain's draws happen in a
-fixed order (start state, flip positions, acceptance uniforms).  Chains
-are merged in chain order, never by completion time.
+fixed order (start state unless warm-started, flip positions, acceptance
+uniforms).  Chains are merged in chain order, never by completion time.
+
+Exact enumeration of pi and beta (for small n) lives here too.
 """
 
 from __future__ import annotations
@@ -16,6 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operators import DENSE_LIMIT
+from .states import dense_vector
 
 
 def seed_seq(seed, *key):
@@ -57,19 +67,23 @@ class SampleBatch:
         return self.indices.size
 
 
-def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0):
+def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
+                      start=None):
     """Draw k samples of pi across ``chains`` single-bit-flip chains.
 
     A proposal flips one uniformly chosen bit and is accepted with
     probability min(1, |psi(x')/psi(x)|^2), evaluated in the log domain, so
-    rescaling psi by a constant changes nothing.  burn_in defaults to 10*n
-    sweeps (10*n*n flips).  thin defaults to about one sweep but is kept
-    odd: a bit-flip walk alternates popcount parity whenever it moves, so
-    an even interval would lock a rarely-rejecting chain onto a single
-    parity class.  Returns (SampleBatch, [ChainState per chain]).
+    rescaling psi by a constant changes nothing.  ``start`` takes the
+    ChainState list of an earlier call: chain c then continues from
+    start[c].x under the current psi instead of a drawn state.  burn_in
+    defaults to 10*n sweeps (10*n*n flips) for fresh chains and to 0 for
+    warm-started ones.  thin defaults to about one sweep but is kept odd: a
+    bit-flip walk alternates popcount parity whenever it moves, so an even
+    interval would lock a rarely-rejecting chain onto a single parity
+    class.  Returns (SampleBatch, [ChainState per chain]).
     """
     if burn_in is None:
-        burn_in = 10 * n * n
+        burn_in = 10 * n * n if start is None else 0
     if thin is None:
         thin = n if n % 2 else n + 1
     if n < 1 or k < 0 or chains < 1 or burn_in < 0 or thin < 1:
@@ -80,24 +94,32 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0):
     rngs = [np.random.default_rng(seed_seq(seed, c)) for c in range(chains)]
 
     size = 1 << n
-    starts = np.empty(chains, dtype=np.int64)
-    for c, rng in enumerate(rngs):
-        x = int(rng.integers(0, size))
-        tries = 0
-        while psi.log_prob(x) == -np.inf:  # start on the support
+    if start is None:
+        xs = np.empty(chains, dtype=np.int64)
+        for c, rng in enumerate(rngs):
             x = int(rng.integers(0, size))
-            tries += 1
-            if tries > 100_000:
-                raise ValueError("could not find a state with nonzero amplitude")
-        starts[c] = x
+            tries = 0
+            while psi.log_prob(x) == -np.inf:  # start on the support
+                x = int(rng.integers(0, size))
+                tries += 1
+                if tries > 100_000:
+                    raise ValueError("could not find a state with nonzero amplitude")
+            xs[c] = x
+    else:
+        if len(start) != chains:
+            raise ValueError(f"start holds {len(start)} chain states for {chains} chains")
+        xs = np.array([cs.x for cs in start], dtype=np.int64)
+        if np.any((xs < 0) | (xs >= size)):
+            raise ValueError(f"start states must lie in [0, 2^{n})")
+    lp = np.asarray(psi.log_prob(xs), dtype=np.float64)
+    if np.any(lp == -np.inf):
+        raise ValueError("a start state has zero amplitude under psi")
 
     chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
     steps = int(chain_steps.max())
     if steps:
         positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
         uniforms = np.stack([rng.random(steps) for rng in rngs])
-    xs = starts.copy()
-    lp = np.asarray(psi.log_prob(xs), dtype=np.float64)
     accepted = np.zeros(chains, dtype=np.int64)
     max_count = max(counts)
     recorded = np.empty((chains, max_count), dtype=np.int64)
@@ -151,3 +173,20 @@ def sample_beta(b, k, seed=0):
     indices = support[pos].astype(np.int64)
     return SampleBatch(indices=indices, source="beta",
                        log_amps=np.log(amps[indices]))
+
+
+def enumerate_born(psi, limit=DENSE_LIMIT):
+    """Exact pi weights over the support of psi: (indices, probabilities)."""
+    v = dense_vector(psi, limit)
+    w = np.abs(v) ** 2
+    support = np.flatnonzero(w)
+    return support.astype(np.int64), w[support] / w[support].sum()
+
+
+def enumerate_beta(b):
+    """Exact beta batch over the support of b: (SampleBatch, weights)."""
+    support = np.flatnonzero(b.amplitudes)
+    w = np.abs(b.amplitudes[support]) ** 2
+    batch = SampleBatch(indices=support.astype(np.int64), source="beta",
+                        log_amps=np.log(b.amplitudes[support]))
+    return batch, w / w.sum()

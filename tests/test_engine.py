@@ -18,6 +18,7 @@ from vnls import (
     init_gaussian,
     local_energy_h,
     local_energy_vnls,
+    metropolis_sample,
     parse_pauli_sum,
     random_pauli_problem,
     sample_beta,
@@ -27,6 +28,7 @@ from vnls import (
     vnls_local_energies,
 )
 from vnls import PauliSum, PauliTerm, identity_sum
+import vnls.engine as engine
 
 from conftest import dense_rayleigh, dense_vnls_loss, kron_sum, random_sum
 
@@ -408,3 +410,58 @@ def test_extreme_rbm_energies_finite_at_peak():
     want = (mat @ mat)[0] @ rel - (mat @ bv)[0] * e_hat_rel
     assert l[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert lh[0] == pytest.approx(mat[0] @ rel, rel=1e-12, abs=1e-12)
+
+
+def _recorded_train(monkeypatch, psi, prob, config):
+    """Run train_vnls, recording each epoch's sampler start and result."""
+    calls = []
+    real = engine.metropolis_sample
+
+    def recording(*args, **kwargs):
+        batch, states = real(*args, **kwargs)
+        calls.append((kwargs.get("start"), batch, states))
+        return batch, states
+
+    monkeypatch.setattr(engine, "metropolis_sample", recording)
+    train_vnls(prob.a, prob.b, psi, config)
+    return calls
+
+
+def test_train_carries_chain_states_across_epochs(monkeypatch):
+    prob = ising_problem(5, 10.0)
+    psi = init_gaussian(5, seed=3)
+    config = TrainConfig(epochs=4, batch_size=64, chains=4, learning_rate=0.05,
+                         seed=2, thin=3)
+    calls = _recorded_train(monkeypatch, psi, prob, config)
+    assert len(calls) == 4
+    assert calls[0][0] is None
+    assert [s.proposed for s in calls[0][2]] == [10 * 25 + 3 * 16] * 4
+    for (_, _, previous), (start, _, states) in zip(calls, calls[1:]):
+        assert [s.x for s in start] == [s.x for s in previous]
+        assert [s.proposed for s in states] == [3 * 16] * 4  # no second burn-in
+
+
+def test_first_epoch_draws_as_a_fresh_sampler(monkeypatch):
+    prob = ising_problem(5, 10.0)
+    config = TrainConfig(epochs=2, batch_size=96, chains=4, learning_rate=0.05,
+                         seed=7)
+    calls = _recorded_train(monkeypatch, init_gaussian(5, seed=4), prob, config)
+    fresh, _ = metropolis_sample(init_gaussian(5, seed=4), 5, 96, chains=4,
+                                 seed=(7, 0, 0))
+    assert np.array_equal(calls[0][1].indices, fresh.indices)
+
+
+def test_overflowing_ehat_keeps_zero_imaginary_part():
+    # far from the a_i = 400 peak, Ehat's true scale overflows float64; for a
+    # real RBM and a real b its imaginary part is exactly zero, not 0 * inf
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, seed=0, flavor="real")
+    theta = psi.get_params()
+    theta[:8] = 400.0
+    psi.set_params(theta)
+    beta = sample_beta(prob.b, 64, seed=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, e_hat = vnls_local_energies(prob.a, prob.b, psi,
+                                       np.array([255], dtype=np.int64), beta)
+    assert np.isinf(e_hat.real)
+    assert e_hat.imag == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vnls import (
+    ChainState,
     DenseState,
     acceptance_stats,
     init_gaussian,
@@ -159,3 +160,51 @@ def test_sample_beta_deterministic():
     # scaling b by a power of two flips no inverse-CDF comparison
     z = sample_beta(b.scaled(8.0), 100, seed=5)
     assert np.array_equal(x.indices, z.indices)
+
+
+def test_warm_start_proposes_only_thin_times_count():
+    psi = DenseState(np.arange(1.0, 9.0))
+    _, fresh = metropolis_sample(psi, 3, 10, chains=4, thin=3, seed=1)
+    batch, warm = metropolis_sample(psi, 3, 10, chains=4, thin=3, seed=2,
+                                    start=fresh)
+    assert len(batch) == 10
+    assert [s.proposed for s in warm] == [3 * 2, 3 * 2, 3 * 2, 3 * 4]
+    for s in warm:
+        assert s.log_prob == psi.log_prob(s.x)
+    # an explicit burn-in still applies to warm-started chains
+    _, burned = metropolis_sample(psi, 3, 10, chains=4, burn_in=7, thin=3,
+                                  seed=2, start=fresh)
+    assert [s.proposed for s in burned] == [7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 4]
+
+
+def test_chained_warm_starts_total_variation(rng):
+    n = int(rng.integers(2, 5))
+    dim = 1 << n
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi = DenseState(v)
+    target = np.abs(v) ** 2 / (np.abs(v) ** 2).sum()
+    _, states = metropolis_sample(psi, n, 0, chains=8, seed=(70, 0))
+    draws = []
+    for call in range(20):
+        batch, states = metropolis_sample(psi, n, 5_000, chains=8,
+                                          seed=(70, 1, call), start=states)
+        draws.append(batch.indices)
+    indices = np.concatenate(draws)
+    assert indices.size == 100_000
+    tv = 0.5 * np.abs(frequencies(indices, dim) - target).sum()
+    assert tv < 0.02
+
+
+def test_bad_start_rejected():
+    amps = np.ones(8)
+    amps[5] = 0.0
+    psi = DenseState(amps)
+    _, states = metropolis_sample(psi, 3, 16, chains=4, seed=0)
+    with pytest.raises(ValueError, match="chain states"):
+        metropolis_sample(psi, 3, 16, chains=4, seed=1, start=states[:3])
+    dead = states[:3] + [ChainState(5, 0.0, 0, 0)]
+    with pytest.raises(ValueError, match="zero amplitude"):
+        metropolis_sample(psi, 3, 16, chains=4, seed=1, start=dead)
+    outside = states[:3] + [ChainState(8, 0.0, 0, 0)]
+    with pytest.raises(ValueError, match="lie in"):
+        metropolis_sample(psi, 3, 16, chains=4, seed=1, start=outside)
