@@ -15,7 +15,6 @@ from .engine import (
     estimate_objective,
     estimate_variance,
     local_energy_h,
-    local_energy_vnls,
     sr_step,
     train_vnls,
     train_vqmc,
@@ -84,7 +83,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EpochRecord", "SRState", "TrainConfig", "enumerate_beta", "enumerate_born",
     "estimate_fisher", "estimate_gradient", "estimate_objective",
-    "estimate_variance", "local_energy_h", "local_energy_vnls", "sr_step",
+    "estimate_variance", "local_energy_h", "sr_step",
     "train_vnls", "train_vqmc", "vnls_local_energies",
     "CapabilityError", "ParseError",
     "PauliSum", "PauliTerm", "apply_squared_row", "apply_sum_row",

@@ -158,12 +158,6 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     return l, table.unscale(e_hat)
 
 
-def local_energy_vnls(a, b, psi, x, beta_batch, beta_weights=None):
-    """Solver local energy at x; see vnls_local_energies."""
-    l, _ = vnls_local_energies(a, b, psi, x, beta_batch, beta_weights)
-    return complex(l[0]) if np.asarray(x).ndim == 0 else l
-
-
 def _normalized_weights(weights, size):
     if weights is None:
         return None

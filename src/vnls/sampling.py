@@ -9,6 +9,22 @@ followed by burn-in, or is warm-started from the ChainState an earlier
 call returned; a warm-started chain draws no start state and, by default,
 takes no burn-in, so training pays burn-in once per run, not per epoch.
 
+The lockstep steps are scored in windows (pre-fetching, Brockwell, J.
+Comput. Graph. Stat. 15:246, 2006).  A window takes every chain's next K
+proposals along the path on which all of them are accepted and scores them
+in one log_prob call; the chains then advance to the first step at which
+any chain rejected, and the rest of the window is dropped.  K is
+floor(1 / (1 - p)), clamped to [1, 32], where p is the running share of
+steps at which every chain accepted, seeded from the acceptance of the
+start chains.  Windows change which states share a log_prob call, nothing
+else: the proposals, uniforms and comparisons are those of one proposal
+per step, so the samples, acceptances and chain states are exactly those
+of one-proposal-at-a-time Metropolis, provided log_prob gives a state the
+same value whatever else is in the call.  DenseState always does; an Rbm
+does when its batches fill whole BLAS blocks (OpenBLAS rounds the tail
+rows of a batch whose length is not a multiple of 4 differently), which
+holds for any chain count that is a multiple of 4, such as the default 8.
+
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
 numpy's SeedSequence spawn keys, and all of a chain's draws happen in a
@@ -20,12 +36,15 @@ Exact enumeration of pi and beta (for small n) lives here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import DENSE_LIMIT
 from .states import dense_vector
+
+_MAX_WINDOW = 32  # most proposals one log_prob call scores per chain
 
 
 def seed_seq(seed, *key):
@@ -80,7 +99,10 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     warm-started ones.  thin defaults to about one sweep but is kept odd: a
     bit-flip walk alternates popcount parity whenever it moves, so an even
     interval would lock a rarely-rejecting chain onto a single parity
-    class.  Returns (SampleBatch, [ChainState per chain]).
+    class.  Proposals are scored in windows along the all-accept path (see
+    the module docstring); the samples, acceptances and chain states are
+    those of one-proposal-at-a-time Metropolis.  Returns (SampleBatch,
+    [ChainState per chain]).
     """
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
@@ -117,29 +139,69 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
 
     chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
     steps = int(chain_steps.max())
-    if steps:
-        positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
-        uniforms = np.stack([rng.random(steps) for rng in rngs])
-    accepted = np.zeros(chains, dtype=np.int64)
-    max_count = max(counts)
-    recorded = np.empty((chains, max_count), dtype=np.int64)
-
+    positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
+    uniforms = np.stack([rng.random(steps) for rng in rngs])
+    # Step-major tables.  A step past a chain's end flips no bit: its
+    # proposal is the chain's own state, which is accepted and moves nothing.
+    flips = np.where(np.arange(steps) < chain_steps[:, None],
+                     np.int64(1) << positions, 0).T.copy()
     with np.errstate(divide="ignore"):
-        log_uniforms = np.log(uniforms) if steps else None
-    for step in range(steps):
-        active = step < chain_steps
-        proposals = xs ^ (np.int64(1) << positions[:, step])
-        prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
-        accept = (log_uniforms[:, step] < prop_lp - lp) & active
-        xs = np.where(accept, proposals, xs)
-        lp = np.where(accept, prop_lp, lp)
-        accepted += accept
-        offset = step - burn_in
-        if offset >= 0 and offset % thin == thin - 1:
-            recorded[:, offset // thin] = xs
+        log_u = np.log(uniforms).T.copy()
+
+    x0 = xs
+    accepts = np.empty((steps, chains), dtype=bool)
+    path = np.empty((_MAX_WINDOW + 1, chains), dtype=np.int64)
+    path_lp = np.empty((_MAX_WINDOW + 1, chains))
+    # Running share of steps at which every chain accepted, as hits / seen.
+    hits = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
+    seen = 1.0
+    t = 0
+    while t < steps:
+        # width = clamp(floor(1 / (1 - p)), 1, _MAX_WINDOW) for p = hits / seen
+        miss = seen - hits
+        width = min(steps - t, int(seen / miss) if miss * _MAX_WINDOW > seen
+                    else _MAX_WINDOW)
+        if width == 1:
+            proposals = xs ^ flips[t]
+            prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
+            accept = log_u[t] < prop_lp - lp
+            xs = np.where(accept, proposals, xs)
+            lp = np.where(accept, prop_lp, lp)
+            accepts[t] = accept
+            if accept.all():
+                hits += 1
+            seen += 1
+            t += 1
+            continue
+        # Score the next `width` proposals along the all-accept path in one
+        # call; row j + 1 of path is the state after steps t..t+j.
+        path[0], path_lp[0] = xs, lp
+        np.bitwise_xor.accumulate(flips[t:t + width], axis=0, out=path[1:width + 1])
+        path[1:width + 1] ^= xs
+        path_lp[1:width + 1] = np.reshape(
+            psi.log_prob(path[1:width + 1].ravel()), (width, chains))
+        with np.errstate(invalid="ignore"):  # -inf - -inf past a zero of psi
+            acc = log_u[t:t + width] < path_lp[1:width + 1] - path_lp[:width]
+        every = acc.all(axis=1)
+        # The path holds up to and including the first step at which some
+        # chain rejected; the rest of the window is discarded.
+        r = int(every.argmin())
+        if every[r]:
+            r = width - 1
+        accepts[t:t + r + 1] = acc[:r + 1]
+        xs = np.where(acc[r], path[r + 1], path[r])
+        lp = np.where(acc[r], path_lp[r + 1], path_lp[r])
+        hits += r + bool(every[r])
+        seen += r + 1
+        t += r + 1
+
+    moves = np.where(accepts, flips, 0)
+    visited = x0 ^ np.bitwise_xor.accumulate(moves, axis=0)  # state after each step
+    recorded = visited[burn_in + thin - 1::thin]
+    accepted = np.count_nonzero(moves, axis=0)
 
     indices = np.concatenate(
-        [recorded[c, :counts[c]] for c in range(chains)]) if k else np.zeros(0, np.int64)
+        [recorded[:counts[c], c] for c in range(chains)]) if k else np.zeros(0, np.int64)
     log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
                 if k else np.zeros(0, np.complex128))
     batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)

@@ -105,20 +105,37 @@ class Rbm(Wavefunction):
         self.n = n
         self.m = m
         self.seed = seed
+        self._shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
 
     @property
     def param_count(self):
         return self.n + self.m + self.m * self.n
 
+    def _spins(self, xs):
+        """spins(xs, self.n), with the shifts made once."""
+        return 1.0 - 2.0 * ((xs[..., None] >> self._shifts) & 1)
+
     def _z(self, s):
         return self.c + s @ self.w.T
 
+    def _log_psi(self, xs):
+        """log psi over a 1-d index array, in the flavor's dtype."""
+        s = self._spins(xs)
+        return s @ self.a + log2cosh(self._z(s)).sum(axis=1)
+
     def log_amp(self, x):
         xs = np.asarray(x, dtype=np.int64)
-        s = spins(np.atleast_1d(xs), self.n)
-        out = s @ self.a + log2cosh(self._z(s)).sum(axis=1)
-        out = out.astype(np.complex128, copy=False)
+        out = self._log_psi(np.atleast_1d(xs)).astype(np.complex128, copy=False)
         return complex(out[0]) if xs.ndim == 0 else out
+
+    def log_prob(self, x):
+        """log |psi(x)|^2, equal to 2 * log_amp(x).real bit for bit.
+
+        The real flavor stays in float64 and builds no complex array.
+        """
+        xs = np.asarray(x, dtype=np.int64)
+        out = 2.0 * self._log_psi(np.atleast_1d(xs)).real
+        return float(out[0]) if xs.ndim == 0 else out
 
     def log_grad(self, x):
         """d log psi / d theta, one row per sample, columns [a, c, W].
@@ -127,7 +144,7 @@ class Rbm(Wavefunction):
         holomorphic complex one.
         """
         xs = np.asarray(x, dtype=np.int64)
-        s = spins(np.atleast_1d(xs), self.n)
+        s = self._spins(np.atleast_1d(xs))
         t = np.tanh(self._z(s))
         w_part = (t[:, :, None] * s[:, None, :]).reshape(s.shape[0], self.m * self.n)
         out = np.concatenate([s.astype(t.dtype), t, w_part], axis=1)

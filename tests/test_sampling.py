@@ -6,6 +6,7 @@ import pytest
 from vnls import (
     ChainState,
     DenseState,
+    SampleBatch,
     acceptance_stats,
     init_gaussian,
     metropolis_sample,
@@ -208,3 +209,189 @@ def test_bad_start_rejected():
     outside = states[:3] + [ChainState(8, 0.0, 0, 0)]
     with pytest.raises(ValueError, match="lie in"):
         metropolis_sample(psi, 3, 16, chains=4, seed=1, start=outside)
+
+
+def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
+                         start=None):
+    """One proposal per lockstep step: the sampler loop before proposals
+    were scored in windows, kept verbatim as the reference."""
+    if burn_in is None:
+        burn_in = 10 * n * n if start is None else 0
+    if thin is None:
+        thin = n if n % 2 else n + 1
+    if n < 1 or k < 0 or chains < 1 or burn_in < 0 or thin < 1:
+        raise ValueError("bad sampler arguments")
+    base = k // chains
+    counts = [base] * chains
+    counts[-1] += k - base * chains
+    rngs = [np.random.default_rng(seed_seq(seed, c)) for c in range(chains)]
+
+    size = 1 << n
+    if start is None:
+        xs = np.empty(chains, dtype=np.int64)
+        for c, rng in enumerate(rngs):
+            x = int(rng.integers(0, size))
+            tries = 0
+            while psi.log_prob(x) == -np.inf:  # start on the support
+                x = int(rng.integers(0, size))
+                tries += 1
+                if tries > 100_000:
+                    raise ValueError("could not find a state with nonzero amplitude")
+            xs[c] = x
+    else:
+        if len(start) != chains:
+            raise ValueError(f"start holds {len(start)} chain states for {chains} chains")
+        xs = np.array([cs.x for cs in start], dtype=np.int64)
+        if np.any((xs < 0) | (xs >= size)):
+            raise ValueError(f"start states must lie in [0, 2^{n})")
+    lp = np.asarray(psi.log_prob(xs), dtype=np.float64)
+    if np.any(lp == -np.inf):
+        raise ValueError("a start state has zero amplitude under psi")
+
+    chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
+    steps = int(chain_steps.max())
+    if steps:
+        positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
+        uniforms = np.stack([rng.random(steps) for rng in rngs])
+    accepted = np.zeros(chains, dtype=np.int64)
+    max_count = max(counts)
+    recorded = np.empty((chains, max_count), dtype=np.int64)
+
+    with np.errstate(divide="ignore"):
+        log_uniforms = np.log(uniforms) if steps else None
+    for step in range(steps):
+        active = step < chain_steps
+        proposals = xs ^ (np.int64(1) << positions[:, step])
+        prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
+        accept = (log_uniforms[:, step] < prop_lp - lp) & active
+        xs = np.where(accept, proposals, xs)
+        lp = np.where(accept, prop_lp, lp)
+        accepted += accept
+        offset = step - burn_in
+        if offset >= 0 and offset % thin == thin - 1:
+            recorded[:, offset // thin] = xs
+
+    indices = np.concatenate(
+        [recorded[c, :counts[c]] for c in range(chains)]) if k else np.zeros(0, np.int64)
+    log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
+                if k else np.zeros(0, np.complex128))
+    batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
+    states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
+                         int(chain_steps[c])) for c in range(chains)]
+    return batch, states
+
+
+class RowWise:
+    """psi with log_prob taken one state at a time.
+
+    BLAS may round a state's value differently by its row in a batch (the
+    tail rows of a batch whose length is not a multiple of the kernel's
+    block), so a window holding chains * width states need not reproduce
+    the last bit of a call on ``chains`` states.  Evaluating every state
+    alone makes the value independent of the batch.
+    """
+
+    def __init__(self, psi):
+        self.psi = psi
+
+    def log_prob(self, x):
+        if np.ndim(x) == 0:
+            return self.psi.log_prob(x)
+        return np.array([self.psi.log_prob(int(v)) for v in x], dtype=np.float64)
+
+    def log_amp(self, x):
+        return self.psi.log_amp(x)
+
+
+def _zeros_state():
+    amps = np.ones(16)
+    amps[[1, 5, 6, 12]] = 0.0
+    return DenseState(amps)
+
+
+def _rbm(flavor, sigma):
+    return init_gaussian(6, sigma=sigma, seed=3, flavor=flavor)
+
+
+# (psi, n); acceptance near 1, near 0.5 and near 0 for both RBM flavors
+MODELS = {
+    "ones": lambda: (DenseState(np.ones(16)), 4),
+    "zeros": lambda: (_zeros_state(), 4),
+    "real-0.01": lambda: (_rbm("real", 0.01), 6),
+    "real-0.2": lambda: (_rbm("real", 0.2), 6),
+    "real-1": lambda: (_rbm("real", 1.0), 6),
+    "complex-0.01": lambda: (_rbm("complex", 0.01), 6),
+    "complex-0.12": lambda: (_rbm("complex", 0.12), 6),
+    "complex-1": lambda: (_rbm("complex", 1.0), 6),
+}
+
+# chain counts that are multiples of 4 keep every window's batch in whole
+# BLAS blocks; the others run through RowWise for the RBMs
+ARGS = [
+    dict(k=1024, chains=8),
+    dict(k=1003, chains=8),
+    dict(k=0, chains=8),
+    dict(k=200, chains=4, thin=1),
+    dict(k=96, chains=8, burn_in=37),
+    dict(k=37, chains=1),
+    dict(k=50, chains=3, burn_in=5, thin=2),
+]
+
+
+def assert_same_run(got, want):
+    (batch, states), (ref_batch, ref_states) = got, want
+    assert np.array_equal(batch.indices, ref_batch.indices)
+    assert np.array_equal(batch.log_amps, ref_batch.log_amps)
+    assert states == ref_states
+
+
+@pytest.mark.parametrize("args", ARGS, ids=lambda a: "-".join(f"{k}{v}" for k, v in a.items()))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_windows_reproduce_one_proposal_per_step(model, args):
+    psi, n = MODELS[model]()
+    if args["chains"] % 4 and not isinstance(psi, DenseState):
+        psi = RowWise(psi)
+    fresh = metropolis_sample(psi, n, seed=(21, 0), **args)
+    assert_same_run(fresh, reference_metropolis(psi, n, seed=(21, 0), **args))
+    start = fresh[1]
+    for call, burn_in in enumerate((None, 9), start=1):
+        warm_args = dict(args, burn_in=burn_in) if burn_in else args
+        warm = metropolis_sample(psi, n, seed=(21, call), start=start, **warm_args)
+        assert_same_run(warm, reference_metropolis(psi, n, seed=(21, call),
+                                                   start=start, **warm_args))
+        start = warm[1]
+
+
+class Recorder:
+    """psi that records the length of every log_prob call."""
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.sizes = []
+
+    def log_prob(self, x):
+        self.sizes.append(int(np.size(x)))
+        return self.psi.log_prob(x)
+
+    def log_amp(self, x):
+        return self.psi.log_amp(x)
+
+
+def test_windows_span_one_to_thirty_two_steps():
+    widths = set()
+    for model in ("ones", "real-0.01", "real-0.2", "complex-1"):
+        psi, n = MODELS[model]()
+        _, states = metropolis_sample(psi, n, 1024, chains=8, seed=5)
+        rec = Recorder(psi)
+        metropolis_sample(rec, n, 1024, chains=8, seed=6, start=states)
+        widths.update(size // 8 for size in rec.sizes[1:])  # after the start call
+    assert {1, 32} <= widths
+    assert len(widths) > 4
+
+
+def test_all_accept_path_needs_few_log_prob_calls():
+    rec = Recorder(DenseState(np.ones(16)))
+    _, states = metropolis_sample(rec, 4, 4096, chains=8, seed=1)
+    steps = max(s.proposed for s in states)
+    assert acceptance_stats(states) == 1.0
+    assert len(rec.sizes) <= steps / 10

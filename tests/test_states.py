@@ -99,6 +99,20 @@ def test_log_grad_layout_matches_param_order(rng):
     assert np.allclose(g[3 + psi.m:], np.outer(np.tanh(z), s).reshape(-1))
 
 
+@pytest.mark.parametrize("n", [4, 10, 16])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_log_prob_is_twice_real_log_amp_bitwise(n, flavor):
+    for seed, sigma in enumerate((0.01, 0.3, 1.0, 3.0)):
+        psi = init_gaussian(n, sigma=sigma, seed=seed, flavor=flavor)
+        x = np.random.default_rng(seed).integers(0, 1 << n, size=257)
+        assert np.array_equal(psi.log_prob(x), 2 * psi.log_amp(x).real)
+        for size in (1, 3, 8):  # short batches take other BLAS paths
+            assert np.array_equal(psi.log_prob(x[:size]), 2 * psi.log_amp(x[:size]).real)
+        single = psi.log_prob(int(x[0]))
+        assert type(single) is float
+        assert single == 2 * psi.log_amp(int(x[0])).real
+
+
 def test_log2cosh_accuracy_and_range():
     zs = np.linspace(-20.0, 20.0, 4001)
     assert np.allclose(log2cosh(zs), np.log(2.0 * np.cosh(zs)), rtol=1e-12)
