@@ -397,28 +397,33 @@ def format_pauli_sum(h):
     return "\n".join(format_term(t) for t in h.terms)
 
 
+def parse_header(text):
+    """Split file text at its required ``n=<int>`` header line.
+
+    Returns (n, body): body yields the (line number, line) pairs after the
+    header, with comments and blank lines dropped.
+    """
+    stripped = ((lineno, raw.split("#", 1)[0].strip())
+                for lineno, raw in enumerate(text.splitlines(), start=1))
+    body = ((lineno, line) for lineno, line in stripped if line)
+    lineno, line = next(body, (None, None))
+    if line is None:
+        raise ParseError("missing n=<int> header")
+    if not line.startswith("n="):
+        raise ParseError(f"line {lineno}: expected header n=<int>, got {line!r}")
+    try:
+        n = int(line[2:])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad qubit count in {line!r}") from None
+    if n < 1:
+        raise ParseError(f"line {lineno}: qubit count must be positive")
+    return n, body
+
+
 def parse_operator_text(text):
     """Operator file body: required ``n=<int>`` header line, then terms."""
-    n = None
-    pending = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise ParseError(f"line {lineno}: expected header n=<int>, got {line!r}")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad qubit count in {line!r}") from None
-            if n < 1:
-                raise ParseError(f"line {lineno}: qubit count must be positive")
-            continue
-        pending.append((lineno, line))
-    if n is None:
-        raise ParseError("missing n=<int> header")
-    return PauliSum([parse_term_line(line, n, lineno) for lineno, line in pending], n)
+    n, body = parse_header(text)
+    return PauliSum([parse_term_line(line, n, lineno) for lineno, line in body], n)
 
 
 def load_operator(path):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .operators import PauliSum, PauliTerm, format_term, parse_term_line
+from .operators import PauliSum, PauliTerm, format_term, parse_header, parse_term_line
 from .states import DenseState
 
 
@@ -136,27 +136,13 @@ def _parse_floats(parts, lineno, what):
 
 def load_problem(path):
     """Inverse of save_problem, with line-numbered parse errors."""
-    text = Path(path).read_text(encoding="utf-8")
-    n = None
+    n, body = parse_header(Path(path).read_text(encoding="utf-8"))
     kappa = None
     terms = []
     mode = None
     dense_vals = []
     sparse_vals = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            if not line.startswith("n="):
-                raise ParseError(f"line {lineno}: expected header n=<int>, got {line!r}")
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad qubit count in {line!r}") from None
-            if n < 1:
-                raise ParseError(f"line {lineno}: qubit count must be positive")
-            continue
+    for lineno, line in body:
         if kappa is None and mode is None and not terms and line.startswith("kappa="):
             try:
                 kappa = float(line[6:])
@@ -191,8 +177,6 @@ def load_problem(path):
                 raise ParseError(f"line {lineno}: bad index {parts[0]!r}") from None
             vals = _parse_floats(parts[1:], lineno, "amplitude")
             sparse_vals.append((idx, complex(vals[0], vals[1] if len(vals) == 2 else 0.0)))
-    if n is None:
-        raise ParseError("missing n=<int> header")
     if mode is None:
         raise ParseError("missing b section ('b dense' or 'b sparse')")
     dim = 1 << n

@@ -10,20 +10,30 @@ call returned; a warm-started chain draws no start state and, by default,
 takes no burn-in, so training pays burn-in once per run, not per epoch.
 
 The lockstep steps are scored in windows (pre-fetching, Brockwell, J.
-Comput. Graph. Stat. 15:246, 2006).  A window takes every chain's next K
-proposals along the path on which all of them are accepted and scores them
-in one log_prob call; the chains then advance to the first step at which
-any chain rejected, and the rest of the window is dropped.  K is
-floor(1 / (1 - p)), clamped to [1, 32], where p is the running share of
-steps at which every chain accepted, seeded from the acceptance of the
-start chains.  Windows change which states share a log_prob call, nothing
-else: the proposals, uniforms and comparisons are those of one proposal
-per step, so the samples, acceptances and chain states are exactly those
-of one-proposal-at-a-time Metropolis, provided log_prob gives a state the
-same value whatever else is in the call.  DenseState always does; an Rbm
-does when its batches fill whole BLAS blocks (OpenBLAS rounds the tail
-rows of a batch whose length is not a multiple of 4 differently), which
-holds for any chain count that is a multiple of 4, such as the default 8.
+Comput. Graph. Stat. 15:246, 2006), of two kinds.  A path window takes
+every chain's next K proposals along the path on which all of them are
+accepted and scores them in one log_prob call; the chains then advance to
+the first step at which any chain rejected, and the rest of the window is
+dropped.  K is floor(1 / (1 - p)), clamped to [1, 32], where p is the
+running share of steps at which every chain accepted, seeded from the
+acceptance of the start chains.  Where that K is 1, a tree window scores
+instead every state a chain could reach over its next D steps, under any
+pattern of accepts and rejects: 2^D - 1 proposals per chain in one call, one
+vectorised comparison for all of them, and a table lookup that walks each
+chain to the state its accepts lead to.  A tree advances D steps per call
+whatever the acceptance.  D is the deepest depth up to 4 with chains *
+(2^D - 1) <= 128 states (4 at the default 8 chains, 1 from 43 chains on);
+a complex-flavor RBM keeps D = 1, since complex exp and log make its extra
+states cost more than the calls they save.  At D = 1, and for the last
+steps of a call when fewer than D remain, steps are taken one at a time.
+Windows change which states share a log_prob call, nothing else:
+the proposals, uniforms and comparisons are those of one proposal per step,
+so the samples, acceptances and chain states are exactly those of
+one-proposal-at-a-time Metropolis, provided log_prob gives a state the same
+value whatever else is in the call.  DenseState always does; an Rbm does
+when its batches fill whole BLAS blocks (OpenBLAS rounds the tail rows of a
+batch whose length is not a multiple of 4 differently), which holds for any
+chain count that is a multiple of 4, such as the default 8.
 
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
@@ -44,7 +54,36 @@ import numpy as np
 from .operators import DENSE_LIMIT
 from .states import dense_vector
 
-_MAX_WINDOW = 32  # most proposals one log_prob call scores per chain
+_MAX_WINDOW = 32  # most proposals a path window scores per chain
+_TREE_STATES = 128  # most states a tree window scores over all chains
+_MAX_DEPTH = 4
+
+# Node i >= 1 of a proposal tree is the proposal of step depth(i) (the
+# index of its top bit) from the state reached by accept pattern
+# parent(i) = i - 2^depth(i) over the steps before it; bit j of a pattern
+# is the accept flag of step j.
+_NODES = np.arange(1, 1 << _MAX_DEPTH)
+_DEPTH = np.array([int(i).bit_length() - 1 for i in _NODES])
+_PARENT = _NODES - (1 << _DEPTH)
+_NODE_BIT = (1 << (_NODES - 1)).astype(np.uint16)  # node i is bit i - 1 of a code
+
+
+def _walk_table():
+    """Accept pattern reached from every node-accept code of a tree.
+
+    The walk accepts step j when the node it stands on at depth j accepted.
+    A code of a shallower tree has no bits past its nodes, so the table of
+    the deepest tree serves them all.
+    """
+    codes = np.arange(1 << _NODES.size)
+    pattern = np.zeros_like(codes)
+    for j in range(_MAX_DEPTH):
+        pattern |= ((codes >> (pattern + (1 << j) - 1)) & 1) << j
+    return pattern.astype(np.uint8)
+
+
+_WALK = _walk_table()
+_PATTERN_BITS = (np.arange(1 << _MAX_DEPTH)[:, None] >> np.arange(_MAX_DEPTH)) & 1 == 1
 
 
 def seed_seq(seed, *key):
@@ -99,10 +138,11 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     warm-started ones.  thin defaults to about one sweep but is kept odd: a
     bit-flip walk alternates popcount parity whenever it moves, so an even
     interval would lock a rarely-rejecting chain onto a single parity
-    class.  Proposals are scored in windows along the all-accept path (see
-    the module docstring); the samples, acceptances and chain states are
-    those of one-proposal-at-a-time Metropolis.  Returns (SampleBatch,
-    [ChainState per chain]).
+    class.  Proposals are scored in path windows along the all-accept path,
+    or in proposal trees of depth up to 4 where the chains rarely all
+    accept (see the module docstring); the samples, acceptances and chain
+    states are those of one-proposal-at-a-time Metropolis.  Returns
+    (SampleBatch, [ChainState per chain]).
     """
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
@@ -152,6 +192,18 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     accepts = np.empty((steps, chains), dtype=bool)
     path = np.empty((_MAX_WINDOW + 1, chains), dtype=np.int64)
     path_lp = np.empty((_MAX_WINDOW + 1, chains))
+    # The deepest tree whose non-root states fit in one call of _TREE_STATES.
+    # A complex-flavor RBM pays complex exp and log on every hidden angle,
+    # so its extra tree states cost more than the calls they save.
+    depth = 1 if getattr(psi, "flavor", None) == "complex" else min(
+        _MAX_DEPTH, max(1, (_TREE_STATES // chains + 1).bit_length() - 1))
+    nodes = (1 << depth) - 1
+    tree = np.empty((nodes + 1, chains), dtype=np.int64)
+    tree_lp = np.empty((nodes + 1, chains))
+    tree_flat, tree_lp_flat = tree.reshape(-1), tree_lp.reshape(-1)
+    node_step, node_parent, node_bit = _DEPTH[:nodes], _PARENT[:nodes], _NODE_BIT[:nodes]
+    row_start = np.arange(nodes + 1) * chains
+    cols = np.arange(chains)
     # Running share of steps at which every chain accepted, as hits / seen.
     hits = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
     seen = 1.0
@@ -161,6 +213,24 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
         miss = seen - hits
         width = min(steps - t, int(seen / miss) if miss * _MAX_WINDOW > seen
                     else _MAX_WINDOW)
+        if width == 1 and depth > 1 and steps - t >= depth:
+            # Score every state the next `depth` steps can propose in one
+            # call.  Row p of tree is the state after those steps under
+            # accept pattern p; for p >= 1 it is also node p's proposal.
+            tree[0], tree_lp[0] = xs, lp
+            for j in range(depth):
+                np.bitwise_xor(tree[:1 << j], flips[t + j], out=tree[1 << j:2 << j])
+            tree_lp[1:] = np.reshape(psi.log_prob(tree[1:].ravel()), (nodes, chains))
+            with np.errstate(invalid="ignore"):  # -inf - -inf past a zero of psi
+                acc = log_u[t:t + depth][node_step] < tree_lp[1:] - tree_lp[node_parent]
+            pattern = _WALK[node_bit @ acc]
+            flat = row_start[pattern] + cols
+            xs, lp = tree_flat[flat], tree_lp_flat[flat]
+            accepts[t:t + depth] = _PATTERN_BITS[pattern, :depth].T
+            hits += int(np.bitwise_and.reduce(pattern)).bit_count()
+            seen += depth
+            t += depth
+            continue
         if width == 1:
             proposals = xs ^ flips[t]
             prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)

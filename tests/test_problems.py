@@ -12,6 +12,7 @@ from vnls import (
     apply_to_state,
     ising_perturbation_scale,
     ising_problem,
+    load_operator,
     load_problem,
     random_pauli_problem,
     save_problem,
@@ -220,3 +221,14 @@ def test_load_problem_errors(tmp_path, text, fragment):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=fragment):
         load_problem(path)
+
+
+@pytest.mark.parametrize("text", ["# only a comment\n", "1.0 Z0\n", "\nn=abc\n", "n=0\n"])
+def test_load_problem_header_errors_match_load_operator(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as operator_error:
+        load_operator(path)
+    with pytest.raises(ParseError) as problem_error:
+        load_problem(path)
+    assert str(problem_error.value) == str(operator_error.value)

@@ -12,7 +12,7 @@ from vnls import (
     metropolis_sample,
     sample_beta,
 )
-from vnls.sampling import seed_seq
+from vnls.sampling import _WALK, seed_seq
 
 
 def frequencies(indices, dim):
@@ -335,6 +335,7 @@ ARGS = [
     dict(k=96, chains=8, burn_in=37),
     dict(k=37, chains=1),
     dict(k=50, chains=3, burn_in=5, thin=2),
+    dict(k=512, chains=32),  # depth-2 proposal trees
 ]
 
 
@@ -363,30 +364,51 @@ def test_windows_reproduce_one_proposal_per_step(model, args):
 
 
 class Recorder:
-    """psi that records the length of every log_prob call."""
+    """psi that records the states of every log_prob call."""
 
     def __init__(self, psi):
         self.psi = psi
-        self.sizes = []
+        self.flavor = getattr(psi, "flavor", None)
+        self.calls = []
 
     def log_prob(self, x):
-        self.sizes.append(int(np.size(x)))
+        self.calls.append(np.array(x, dtype=np.int64, ndmin=1))
         return self.psi.log_prob(x)
 
     def log_amp(self, x):
         return self.psi.log_amp(x)
 
 
-def test_windows_span_one_to_thirty_two_steps():
-    widths = set()
-    for model in ("ones", "real-0.01", "real-0.2", "complex-1"):
+def window_kinds(calls, chains):
+    """(path widths, tree call count) of a run's calls after the start call.
+
+    A path window's rows each move every chain by at most one bit from the
+    row before; a proposal tree's do not (node 2 is two flips from node 1).
+    """
+    widths, trees = set(), 0
+    for x in calls[1:]:
+        rows = x.reshape(-1, chains)
+        if np.all(np.bitwise_count(rows[1:] ^ rows[:-1]) <= 1):
+            widths.add(len(rows))
+        else:
+            assert len(rows) == 15  # depth 4 at 8 chains
+            trees += 1
+    return widths, trees
+
+
+def test_windows_span_paths_and_trees():
+    widths, trees = set(), 0
+    for model in ("ones", "real-0.01", "real-0.2", "real-1"):
         psi, n = MODELS[model]()
         _, states = metropolis_sample(psi, n, 1024, chains=8, seed=5)
         rec = Recorder(psi)
         metropolis_sample(rec, n, 1024, chains=8, seed=6, start=states)
-        widths.update(size // 8 for size in rec.sizes[1:])  # after the start call
-    assert {1, 32} <= widths
+        w, tr = window_kinds(rec.calls, 8)
+        widths |= w
+        trees += tr
+    assert {2, 32} <= widths
     assert len(widths) > 4
+    assert trees > 100
 
 
 def test_all_accept_path_needs_few_log_prob_calls():
@@ -394,4 +416,38 @@ def test_all_accept_path_needs_few_log_prob_calls():
     _, states = metropolis_sample(rec, 4, 4096, chains=8, seed=1)
     steps = max(s.proposed for s in states)
     assert acceptance_stats(states) == 1.0
-    assert len(rec.sizes) <= steps / 10
+    assert len(rec.calls) <= steps / 10
+
+
+def test_proposal_trees_need_few_log_prob_calls():
+    psi, n = MODELS["real-1"]()
+    rec = Recorder(psi)
+    _, states = metropolis_sample(rec, n, 1024, chains=8, seed=1)
+    steps = max(s.proposed for s in states)
+    assert acceptance_stats(states) < 0.2
+    assert len(rec.calls) <= steps / 3
+
+
+def test_complex_rbm_keeps_one_step_windows():
+    # its per-state log_prob cost outweighs the calls a tree saves
+    psi, n = MODELS["complex-1"]()
+    _, states = metropolis_sample(psi, n, 1024, chains=8, seed=5)
+    rec = Recorder(psi)
+    metropolis_sample(rec, n, 1024, chains=8, seed=6, start=states)
+    assert acceptance_stats(states) < 0.2
+    assert {len(x) for x in rec.calls} == {8}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_walk_table_matches_step_by_step_walk(depth):
+    # node i (bit i - 1 of a code) proposes step depth(i) from the state
+    # reached by accept pattern i - 2^depth(i)
+    expected = []
+    for code in range(1 << ((1 << depth) - 1)):
+        pattern = 0
+        for j in range(depth):
+            node = pattern + (1 << j)
+            if code >> (node - 1) & 1:
+                pattern |= 1 << j
+        expected.append(pattern)
+    assert _WALK[:len(expected)].tolist() == expected
