@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,30 +25,24 @@ import numpy as np
 from .engine import TrainConfig, train_vnls, train_vqmc
 from .errors import CapabilityError, ParseError
 from .oracle import check_error_bound, exact_solve, fidelity, ising_identities
-from .operators import DENSE_LIMIT, load_operator
+from .operators import load_operator
 from .problems import ising_problem, load_problem
-from .states import dense_vector, init_gaussian, load_checkpoint, save_checkpoint
+from .states import (DEFAULT_ALPHA, dense_vector, init_gaussian, load_checkpoint,
+                     save_checkpoint)
 
 CSV_HEADER = ("epoch", "loss", "loss_var", "grad_norm", "acceptance",
               "fidelity", "wall_ms")
 
 _MODELS = ("rbm-real", "rbm-complex")
 
+# option name of each TrainConfig field whose option is named otherwise
+_OPTION_NAMES = {"learning_rate": "lr"}
+
 _DEFAULTS = {
     "model": "rbm-real",
-    "alpha": 2.0,
+    "alpha": DEFAULT_ALPHA,
     "sigma": None,
-    "lr": 0.005,
-    "shift": 1e-2,
-    "ridge": 1e-6,
-    "epochs": 1000,
-    "batch_size": 1024,
-    "chains": 8,
-    "burn_in": None,
-    "thin": None,
-    "seed": 0,
-    "oracle_every": 0,
-    "dense_limit": DENSE_LIMIT,
+    **{_OPTION_NAMES.get(f.name, f.name): f.default for f in fields(TrainConfig)},
 }
 
 _POSITIVE = ("alpha", "lr", "shift", "ridge", "batch_size", "chains",
@@ -127,11 +122,8 @@ def _resolve_problem(args):
 
 
 def _train_config(cfg):
-    return TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], chains=cfg["chains"],
-        burn_in=cfg["burn_in"], thin=cfg["thin"], learning_rate=cfg["lr"],
-        shift=cfg["shift"], ridge=cfg["ridge"], seed=cfg["seed"],
-        oracle_every=cfg["oracle_every"], dense_limit=cfg["dense_limit"])
+    return TrainConfig(**{f.name: cfg[_OPTION_NAMES.get(f.name, f.name)]
+                          for f in fields(TrainConfig)})
 
 
 def _init_model(cfg, n):

@@ -14,11 +14,19 @@ Local energies read operator rows from each sum's compiled RowForm (see
 operators): the solver's l(x) needs one grouped expansion of A^2 at the
 pi-samples, plus grouped rows of A at the beta samples and for (A b)(x), so
 each distinct column of a row costs one amplitude read.  All per-epoch
-amplitude work is funneled through a deduplicated table of psi values.
+amplitude work is funneled through one table of psi values per estimate.
 Stored vectors are read linearly, which keeps their exact zeros; every
 other model is read as log psi with one shared magnitude shift, which
 cancels in every ratio the estimators form, so nothing here can overflow
 on its own.
+
+When the basis is no larger than the proposals an epoch makes (n <=
+dense_limit and 2^n <= batch_size * thin), training evaluates log psi over
+the whole basis once per parameter set, in one log_amp call, and hands that
+table to the sampler, the local energies and the fidelity check in place of
+the model.  A state's value then no longer depends on which other states
+share a model call, so such runs are bit for bit the same at any chain
+count; the samples, energies and fidelities are those of the model itself.
 """
 
 from __future__ import annotations
@@ -35,33 +43,78 @@ from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute because
 # perfbench's traced replay wraps engine.expand_rows and apply_to_state
 from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
-from .sampling import acceptance_stats, metropolis_sample, sample_beta
+from .sampling import acceptance_stats, default_thin, metropolis_sample, sample_beta
 from .states import DenseState, dense_vector
 
 _PI_STREAM = 0
 _BETA_STREAM = 1
 
 
-class _AmpTable:
-    """Deduplicated psi evaluations at every index an epoch touches.
+class _BasisTable:
+    """log psi over the whole basis, from one log_amp call.
 
-    Built from a list of index arrays, all deduplicated by one np.unique;
-    ``log_amps(k)`` and ``scaled_amps(k)`` return the values at the k-th
-    array's indices, in its shape.  ``scaled_amps`` is psi divided by its
-    largest touched magnitude, so downstream ratios never overflow.  A
-    DenseState is read linearly, which keeps exact zeros (their log is -inf
-    and they contribute nothing to any row sum); every other model goes
-    through ``log_amp`` with the shift applied in the exponent.
+    Stands in for its model wherever amplitudes are read (the sampler,
+    the local energies, dense_vector): ``log_amp`` and ``log_prob`` gather
+    from the table, so they equal the model's own values bit for bit
+    wherever the model gives a state the value a whole-basis call does.
+    It has no ``flavor``, since a read costs the same for every model.
+    """
+
+    def __init__(self, psi):
+        self.n = psi.n
+        self.log_amps = np.asarray(psi.log_amp(np.arange(1 << psi.n, dtype=np.int64)),
+                                   dtype=np.complex128)
+        self.log_probs = 2.0 * self.log_amps.real
+
+    def log_amp(self, x):
+        out = self.log_amps[np.asarray(x, dtype=np.int64)]
+        return complex(out) if out.ndim == 0 else out
+
+    def log_prob(self, x):
+        out = self.log_probs[np.asarray(x, dtype=np.int64)]
+        return float(out) if out.ndim == 0 else out
+
+
+def _tabulate(psi, config):
+    """The amplitude source for psi's current parameters: its whole-basis
+    table when the basis is no larger than an epoch's proposals, else psi."""
+    thin = default_thin(psi.n) if config.thin is None else config.thin
+    if (isinstance(psi, DenseState) or psi.n > config.dense_limit
+            or (1 << psi.n) > config.batch_size * thin):
+        return psi
+    return _BasisTable(psi)
+
+
+class _AmpTable:
+    """psi evaluations at every index an epoch touches.
+
+    Built from a list of index arrays; ``log_amps(k)`` and
+    ``scaled_amps(k)`` return the values at the k-th array's indices, in
+    its shape.  ``scaled_amps`` is psi divided by its largest touched
+    magnitude, so downstream ratios never overflow.  A _BasisTable is read
+    at the indices themselves; any other model is evaluated once per
+    distinct index, all deduplicated by one np.unique.  A DenseState is
+    read linearly, which keeps exact zeros (their log is -inf and they
+    contribute nothing to any row sum); every other model goes through
+    ``log_amp`` with the shift applied in the exponent.
     """
 
     def __init__(self, psi, index_arrays):
         arrays = [np.asarray(a, dtype=np.int64) for a in index_arrays]
+        self._linear = isinstance(psi, DenseState)
+        if isinstance(psi, _BasisTable):
+            self._slots = arrays
+            self._values = psi.log_amps
+            touched = [self._values.real[a].max() for a in arrays if a.size]
+            self._shift = float(max(touched)) if touched else 0.0
+            with np.errstate(over="ignore"):
+                self._unscale = float(np.exp(self._shift))
+            return
         indices, inverse = np.unique(
             np.concatenate([a.reshape(-1) for a in arrays]), return_inverse=True)
         cuts = np.cumsum([a.size for a in arrays])[:-1]
         self._slots = [s.reshape(a.shape)
                        for s, a in zip(np.split(inverse, cuts), arrays)]
-        self._linear = isinstance(psi, DenseState)
         if self._linear:
             self._values = psi.amplitudes[indices]
             top = float(np.abs(self._values).max()) if indices.size else 0.0
@@ -84,7 +137,10 @@ class _AmpTable:
     def _scaled(self):
         if self._linear:
             return self._values / self._unscale
-        return np.exp(self._values - self._shift)
+        # a _BasisTable's untouched entries may lie above the shift; they
+        # may overflow here but are never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(self._values - self._shift)
 
     def log_amps(self, k):
         return self._log[self._slots[k]]
@@ -327,14 +383,17 @@ def _train(psi, config, energy_fn, target):
     warned = False
     last_loss = None
     chain_states = None  # the chains persist across epochs: burn-in runs once
+    source = None  # amplitude source for the current parameters, when built
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
+        if source is None:
+            source = _tabulate(psi, config)
         batch, chain_states = metropolis_sample(
-            psi, psi.n, config.batch_size, chains=config.chains,
+            source, psi.n, config.batch_size, chains=config.chains,
             burn_in=config.burn_in if chain_states is None else None,
             thin=config.thin, seed=(config.seed, _PI_STREAM, epoch),
             start=chain_states)
-        l = energy_fn(psi, batch, epoch)
+        l = energy_fn(source, batch, epoch)
         o = psi.log_grad(batch.indices)
         l_hat = complex(np.mean(l))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
@@ -347,12 +406,14 @@ def _train(psi, config, energy_fn, target):
             g, f, config.learning_rate, config.shift, config.ridge))
         _check_finite(epoch, "updated parameters", theta, last_loss)
         psi.set_params(theta)
+        source = None
 
         fid = None
         if target is not None and (epoch % config.oracle_every == 0
                                    or epoch == config.epochs - 1):
             from .oracle import fidelity
-            fid = fidelity(dense_vector(psi, config.dense_limit), target)
+            source = _tabulate(psi, config)  # the next epoch reads it too
+            fid = fidelity(dense_vector(source, config.dense_limit), target)
         # Im E[l] vanishes for Hermitian operators; flag it only when it
         # clearly exceeds the statistical error of the batch mean.
         noise = np.sqrt(variance / max(1, len(batch)))

@@ -33,7 +33,11 @@ one-proposal-at-a-time Metropolis, provided log_prob gives a state the same
 value whatever else is in the call.  DenseState always does; an Rbm does
 when its batches fill whole BLAS blocks (OpenBLAS rounds the tail rows of a
 batch whose length is not a multiple of 4 differently), which holds for any
-chain count that is a multiple of 4, such as the default 8.
+chain count that is a multiple of 4, such as the default 8.  Where the
+basis is no larger than an epoch's proposals, training passes a table of
+log psi over the whole basis in place of the model (see vnls.engine); every
+value then comes from one whole-basis call, so such runs are bit for bit
+the same for any chain count.
 
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
@@ -125,6 +129,11 @@ class SampleBatch:
         return self.indices.size
 
 
+def default_thin(n):
+    """Flips between samples when none are given: n, rounded up to odd."""
+    return n if n % 2 else n + 1
+
+
 def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
                       start=None):
     """Draw k samples of pi across ``chains`` single-bit-flip chains.
@@ -147,7 +156,7 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
     if thin is None:
-        thin = n if n % 2 else n + 1
+        thin = default_thin(n)
     if n < 1 or k < 0 or chains < 1 or burn_in < 0 or thin < 1:
         raise ValueError("bad sampler arguments")
     base = k // chains

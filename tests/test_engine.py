@@ -464,3 +464,86 @@ def test_overflowing_ehat_keeps_zero_imaginary_part():
                                        np.array([255], dtype=np.int64), beta)
     assert np.isinf(e_hat.real)
     assert e_hat.imag == 0.0
+
+
+def _counted(psi):
+    """Wrap psi's log_amp and log_prob; returns the list of (name, size)."""
+    calls = []
+    for name in ("log_amp", "log_prob"):
+        real = getattr(psi, name)
+
+        def counted(x, real=real, name=name):
+            calls.append((name, np.asarray(x).size))
+            return real(x)
+
+        setattr(psi, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
+    prob = ising_problem(10, 10.0)
+    config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
+                         seed=3, oracle_every=2 if kind == "vnls" else 0)
+
+    def run():
+        psi = init_gaussian(10, seed=5, flavor=flavor)
+        if kind == "vnls":
+            records = train_vnls(prob.a, prob.b, psi, config)
+        else:
+            records = train_vqmc(prob.a, psi, config)
+        for r in records:
+            r.wall_ms = 0.0
+        return records, psi.get_params()
+
+    tabulated, theta = run()
+    monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
+    plain, theta_plain = run()
+    assert tabulated == plain
+    assert np.array_equal(theta, theta_plain)
+    if kind == "vnls":  # fidelity-built tables are handed on, others built lazily
+        assert [r.fidelity is not None for r in plain] == [True, False, True, True]
+
+
+@pytest.mark.parametrize("oracle_every", [0, 1])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_basis_table_is_the_only_model_read(kind, oracle_every):
+    prob = ising_problem(10, 10.0)
+    psi = init_gaussian(10, seed=1)
+    calls = _counted(psi)
+    config = TrainConfig(epochs=3, batch_size=512, chains=8, learning_rate=0.1,
+                         seed=2, oracle_every=oracle_every)
+    if kind == "vnls":
+        train_vnls(prob.a, prob.b, psi, config)
+    else:
+        train_vqmc(prob.a, psi, config)
+    # one whole-basis log_amp per parameter set that something reads
+    assert calls == [("log_amp", 1024)] * (config.epochs + (oracle_every > 0))
+
+
+def test_large_basis_keeps_the_model_path():
+    h = ising_problem(16, 10.0).a
+    psi = init_gaussian(16, seed=1)
+    calls = _counted(psi)
+    train_vqmc(h, psi, TrainConfig(epochs=1, batch_size=1024, chains=8,
+                                   burn_in=16, seed=0))
+    assert ("log_amp", 1 << 16) not in calls
+    assert any(name == "log_prob" for name, _ in calls)
+
+
+def test_tabulate_rule():
+    psi = init_gaussian(10, seed=0)  # thin defaults to 11
+    assert isinstance(engine._tabulate(psi, TrainConfig(batch_size=94)),
+                      engine._BasisTable)
+    assert engine._tabulate(psi, TrainConfig(batch_size=93)) is psi
+    assert engine._tabulate(psi, TrainConfig(batch_size=93, thin=12)) is not psi
+    assert engine._tabulate(psi, TrainConfig(dense_limit=9)) is psi
+    dense = DenseState(np.ones(1 << 10))
+    assert engine._tabulate(dense, TrainConfig()) is dense
+    table = engine._tabulate(psi, TrainConfig())
+    x = np.array([3, 1023, 0, 3, 512, 7, 99, 3], dtype=np.int64)
+    assert np.array_equal(table.log_amp(x), psi.log_amp(x))
+    assert np.array_equal(table.log_prob(x), psi.log_prob(x))
+    assert isinstance(table.log_prob(5), float)
+    assert isinstance(table.log_amp(5), complex)
