@@ -38,6 +38,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute because
@@ -235,51 +236,77 @@ def estimate_variance(l, weights=None):
     return float(np.average(np.abs(l - m) ** 2, weights=weights))
 
 
+def _gradient(lc, oc, w=None):
+    """2 * mean[lc * conj(oc)] from centred local energies and rows.
+
+    Real rows give only the real part, from one real matrix-vector product
+    with Re(lc); complex rows give the complex vector.  ``w`` holds
+    normalized weights, or None for the plain mean.
+    """
+    if np.iscomplexobj(oc):
+        v = lc if w is None else w * lc
+        g = np.conj(np.conj(v) @ oc)  # makes no conjugated copy of oc
+    else:
+        v = lc.real if w is None else w * lc.real
+        g = oc.T @ v
+    g *= 2.0 / lc.size if w is None else 2.0
+    return g
+
+
+def _fisher(oc, w=None):
+    """Fisher matrix from centred rows (see estimate_fisher).
+
+    The real product oc.T @ oc goes to BLAS SYRK; the real score's factor
+    4 = 2^2 and the 1/N of the mean are applied to the p x p result.
+    """
+    if np.iscomplexobj(oc):
+        left, scale = np.conj(oc).T, 1.0
+    else:
+        left, scale = oc.T, 4.0
+    if w is None:
+        f = left @ oc
+        f *= scale / oc.shape[0]
+    else:
+        f = (left * w) @ oc
+        f *= scale
+    return f
+
+
+def _centred(o, w=None):
+    """The rows minus their (weighted) mean, as a new array."""
+    o = np.asarray(o)
+    return o - (o.mean(axis=0) if w is None else w @ o)  # w sums to one
+
+
 def estimate_gradient(l, o, l_hat=None, weights=None):
     """Objective gradient 2 * mean[(l - Lhat) * conj(O - Obar)].
 
     ``o`` holds log-derivative rows from log_grad.  For real parameters the
-    real part is returned; for complex parameters the complex vector whose
-    real/imag parts are the derivatives with respect to the parameter's
-    real/imag parts.  ``l_hat`` defaults to the batch mean, making the
-    centering term an exact no-op; passing an external value is allowed.
+    real part is returned, computed in real arithmetic as
+    (2/N) * Oc^T Re(l - Lhat); for complex parameters the complex vector
+    whose real/imag parts are the derivatives with respect to the
+    parameter's real/imag parts.  ``l_hat`` defaults to the batch mean,
+    making the centering term an exact no-op; passing an external value is
+    allowed.
     """
     l = np.asarray(l, dtype=np.complex128)
-    o = np.asarray(o)
-    if o.shape[1] == 0:  # parameterless model
-        return np.zeros(0) if not np.iscomplexobj(o) else np.zeros(0, complex)
     w = _normalized_weights(weights, l.size)
     if l_hat is None:
         l_hat = np.average(l, weights=w)
-    lc = l - l_hat
-    oc = np.conj(o - np.average(o, axis=0, weights=w))
-    if w is None:
-        g = 2.0 * (oc.T @ lc) / l.size
-    else:
-        g = 2.0 * (oc.T @ (w * lc))
-    return g if np.iscomplexobj(o) else g.real
+    return _gradient(l - l_hat, _centred(o, w), w)
 
 
 def estimate_fisher(o, weights=None):
     """Fisher / overlap matrix estimate from log-derivative rows.
 
-    Real parameters: covariance of the score 2*Re(O), a real PSD matrix.
+    Real parameters: covariance of the score 2*Re(O), a real PSD matrix,
+    computed as (4/N) * Oc^T Oc with one symmetric rank-N product.
     Complex parameters: the centered matrix <conj(Oc) Oc^T>, Hermitian PSD;
     sr_step works with its real part.
     """
     o = np.asarray(o)
-    if o.shape[1] == 0:  # parameterless model
-        return np.zeros((0, 0)) if not np.iscomplexobj(o) else np.zeros((0, 0), complex)
     w = _normalized_weights(weights, o.shape[0])
-    oc = o - np.average(o, axis=0, weights=w)
-    if np.iscomplexobj(o):
-        left = np.conj(oc)
-    else:
-        oc = 2.0 * oc
-        left = oc
-    if w is None:
-        return left.T @ oc / o.shape[0]
-    return (left.T * w) @ oc
+    return _fisher(_centred(o, w), w)
 
 
 @dataclass
@@ -297,21 +324,34 @@ def sr_step(theta, sr):
     """theta - lr * solve(F + shift*diag(F) + ridge*I, grad).
 
     F is symmetrized and its real part is used, so complex-flavor steps
-    decouple into real and imaginary coordinates.  A failed or non-finite
-    solve falls back to a plain gradient step; the flag in the returned
+    decouple into real and imaginary coordinates: the real and imaginary
+    parts of the gradient are solved as two real right-hand sides.  The
+    system matrix is built in one p x p buffer and solved by Cholesky, as
+    it is positive definite for any Fisher estimate.  A failed
+    factorization (a matrix that is not positive definite) or a non-finite
+    solution falls back to a plain gradient step; the flag in the returned
     (theta', fallback) pair reports that.
     """
     f = np.asarray(sr.fisher)
     if np.iscomplexobj(f):
         f = f.real
-    f = 0.5 * (f + f.T)
-    p = f.shape[0]
-    m = f + sr.shift * np.diag(np.diag(f)) + sr.ridge * np.eye(p)
+    m = np.add(f, f.T, dtype=np.float64)
+    m *= 0.5
+    m.flat[::m.shape[0] + 1] += sr.shift * m.diagonal() + sr.ridge
+    grad = np.asarray(sr.grad)
+    complex_grad = np.iscomplexobj(grad)
+    rhs = np.stack([grad.real, grad.imag], axis=1) if complex_grad else grad
     fallback = False
     try:
-        delta = np.linalg.solve(m, sr.grad)
+        # m is symmetric, so m.T is m in the column-major order LAPACK
+        # factorizes in place, without a copy
+        delta = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(m.T, overwrite_a=True, check_finite=False),
+            rhs, check_finite=False)
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError("non-finite SR solution")
+        if complex_grad:
+            delta = delta[:, 0] + 1j * delta[:, 1]
     except np.linalg.LinAlgError:
         delta = sr.grad
         fallback = True
@@ -394,14 +434,16 @@ def _train(psi, config, energy_fn, target):
             thin=config.thin, seed=(config.seed, _PI_STREAM, epoch),
             start=chain_states)
         l = energy_fn(source, batch, epoch)
-        o = psi.log_grad(batch.indices)
         l_hat = complex(np.mean(l))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
         last_loss = l_hat.real
-        variance = float(np.mean(np.abs(l - l_hat) ** 2))
-        g = estimate_gradient(l, o, l_hat=l_hat)
+        lc = l - l_hat
+        variance = float(np.mean(np.abs(lc) ** 2))
+        oc = psi.log_grad(batch.indices)
+        oc -= oc.mean(axis=0)  # centred once, in place: the rows are ours
+        g = _gradient(lc, oc)
         _check_finite(epoch, "gradient", g, last_loss)
-        f = estimate_fisher(o)
+        f = _fisher(oc)
         theta, fallback = sr_step(psi.get_params(), SRState(
             g, f, config.learning_rate, config.shift, config.ridge))
         _check_finite(epoch, "updated parameters", theta, last_loss)

@@ -32,8 +32,10 @@ so the samples, acceptances and chain states are exactly those of
 one-proposal-at-a-time Metropolis, provided log_prob gives a state the same
 value whatever else is in the call.  DenseState always does; an Rbm does
 when its batches fill whole BLAS blocks (OpenBLAS rounds the tail rows of a
-batch whose length is not a multiple of 4 differently), which holds for any
-chain count that is a multiple of 4, such as the default 8.  Where the
+batch whose length is not a multiple of 4 differently; a batch longer than
+the Rbm's 1024-row evaluation block is evaluated block by block, so only
+the last block's tail rounds this way), which holds for any chain count
+that is a multiple of 4, such as the default 8.  Where the
 basis is no larger than an epoch's proposals, training passes a table of
 log psi over the whole basis in place of the model (see vnls.engine); every
 value then comes from one whole-basis call, so such runs are bit for bit

@@ -18,6 +18,9 @@ from .operators import DENSE_LIMIT
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_SIGMA = {"real": 0.01, "complex": 0.05}
+# Rows per Rbm evaluation block: a multiple of 4, so that OpenBLAS rounds
+# every row of a full block the same way
+_BLOCK = 1024
 
 
 def spins(x, n):
@@ -54,6 +57,8 @@ class Wavefunction:
         raise NotImplementedError
 
     def log_grad(self, x):
+        """d log psi / d theta, one row per state, as a new array that the
+        caller may overwrite (training centres it in place)."""
         raise NotImplementedError
 
     def amp(self, x):
@@ -119,7 +124,18 @@ class Rbm(Wavefunction):
         return self.c + s @ self.w.T
 
     def _log_psi(self, xs):
-        """log psi over a 1-d index array, in the flavor's dtype."""
+        """log psi over a 1-d index array, in the flavor's dtype.
+
+        A batch longer than _BLOCK rows is evaluated _BLOCK rows at a time,
+        so that its temporaries stay cache-sized and are reused from the
+        heap rather than mapped afresh per call; each state's value is
+        then bit for bit that of a call on its block alone.  Shorter
+        batches, such as the sampler's calls at the default 8 chains (at
+        most 256 states), take a single pass.
+        """
+        if xs.size > _BLOCK:
+            return np.concatenate([self._log_psi(xs[i:i + _BLOCK])
+                                   for i in range(0, xs.size, _BLOCK)])
         s = self._spins(xs)
         return s @ self.a + log2cosh(self._z(s)).sum(axis=1)
 
@@ -146,8 +162,12 @@ class Rbm(Wavefunction):
         xs = np.asarray(x, dtype=np.int64)
         s = self._spins(np.atleast_1d(xs))
         t = np.tanh(self._z(s))
-        w_part = (t[:, :, None] * s[:, None, :]).reshape(s.shape[0], self.m * self.n)
-        out = np.concatenate([s.astype(t.dtype), t, w_part], axis=1)
+        n, m = self.n, self.m
+        out = np.empty((s.shape[0], self.param_count), dtype=t.dtype)
+        out[:, :n] = s
+        out[:, n:n + m] = t
+        np.multiply(t[:, :, None], s[:, None, :],
+                    out=out[:, n + m:].reshape(s.shape[0], m, n))
         return out[0] if xs.ndim == 0 else out
 
     def get_params(self):

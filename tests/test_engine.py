@@ -228,6 +228,84 @@ def test_sr_step_complex_gradient_decouples():
     assert np.allclose(theta, -grad / 2.0)
 
 
+def test_sr_step_cholesky_matches_dense_solve(rng):
+    a = rng.normal(size=(6, 6))
+    fisher = a @ a.T + 0.1 * np.eye(6)  # SPD, not diagonal
+    grad = rng.normal(size=6)
+    theta0 = rng.normal(size=6)
+    sr = SRState(grad, fisher, learning_rate=0.5, shift=0.1, ridge=1e-3)
+    m = fisher + 0.1 * np.diag(np.diag(fisher)) + 1e-3 * np.eye(6)
+    theta, fallback = sr_step(theta0, sr)
+    assert not fallback
+    assert np.allclose(theta, theta0 - 0.5 * np.linalg.solve(m, grad),
+                       rtol=1e-12, atol=1e-12)
+    assert np.array_equal(sr.fisher, a @ a.T + 0.1 * np.eye(6))  # untouched
+
+
+def test_sr_step_fallback_on_indefinite_system():
+    fisher = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    grad = np.array([0.5, -0.25])
+    sr = SRState(grad, fisher, learning_rate=0.1, shift=0.0, ridge=0.0)
+    theta, fallback = sr_step(np.ones(2), sr)
+    assert fallback
+    assert np.array_equal(theta, np.ones(2) - 0.1 * grad)
+
+
+def test_sr_step_complex_gradient_decouples_with_coupled_fisher(rng):
+    a = rng.normal(size=(5, 5))
+    real_f = a @ a.T + np.eye(5)
+    anti = rng.normal(size=(5, 5))
+    fisher = real_f + 1j * (anti - anti.T)  # Hermitian; its real part is used
+    grad = rng.normal(size=5) + 1j * rng.normal(size=5)
+    sr = SRState(grad, fisher, learning_rate=1.0, shift=0.0, ridge=0.0)
+    theta, fallback = sr_step(np.zeros(5, dtype=complex), sr)
+    assert not fallback
+    want = np.linalg.solve(real_f, grad.real) + 1j * np.linalg.solve(real_f, grad.imag)
+    assert np.allclose(theta, -want, rtol=1e-12, atol=1e-12)
+
+
+def test_sr_step_symmetrizes_an_asymmetric_fisher():
+    fisher = np.array([[2.0, 1.0], [0.0, 3.0]])
+    grad = np.array([1.0, -1.0])
+    sr = SRState(grad, fisher, learning_rate=1.0, shift=0.5, ridge=0.25)
+    theta, fallback = sr_step(np.zeros(2), sr)
+    # M = (F + F^T)/2 + 0.5*diag(F) + 0.25*I = [[3.25, 0.5], [0.5, 4.75]]
+    m = np.array([[3.25, 0.5], [0.5, 4.75]])
+    assert not fallback
+    assert np.allclose(theta, -np.linalg.solve(m, grad), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_real_gradient_matches_real_part_of_complex_formula(rng, weighted):
+    psi = init_gaussian(6, sigma=0.3, seed=4)
+    xs = rng.integers(0, 1 << 6, size=500)
+    o = psi.log_grad(xs)
+    l = rng.normal(size=500) + 1j * rng.normal(size=500)
+    w = rng.uniform(0.1, 2.0, size=500) if weighted else None
+    wn = None if w is None else w / w.sum()
+    l_hat = np.average(l, weights=wn)
+    oc = np.conj(o - np.average(o, axis=0, weights=wn)).astype(complex)
+    lc = l - l_hat
+    want = (2.0 * (oc.T @ lc) / l.size if wn is None
+            else 2.0 * (oc.T @ (wn * lc))).real
+    got = estimate_gradient(l, o, weights=w)
+    assert not np.iscomplexobj(got)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_estimators_of_a_parameterless_model(dtype):
+    o = DenseState(np.ones(8)).log_grad(np.arange(4)).astype(dtype)
+    l = np.array([1.0, 2.0, 0.5, 1.0 + 1j])
+    for weights in (None, np.ones(4)):
+        g = estimate_gradient(l, o, weights=weights)
+        f = estimate_fisher(o, weights=weights)
+        assert g.shape == (0,) and f.shape == (0, 0)
+        assert np.iscomplexobj(g) == np.iscomplexobj(f) == (dtype is complex)
+        theta, fallback = sr_step(np.zeros(0, dtype), SRState(g, f))
+        assert theta.shape == (0,) and not fallback
+
+
 def test_training_zero_epochs_returns_empty():
     h = parse_pauli_sum("1 Z0", 1)
     psi = init_gaussian(1, seed=0)

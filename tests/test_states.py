@@ -16,6 +16,7 @@ from vnls import (
     save_checkpoint,
     spins,
 )
+from vnls import states
 
 
 def brute_log_amp(rbm, x):
@@ -111,6 +112,37 @@ def test_log_prob_is_twice_real_log_amp_bitwise(n, flavor):
         single = psi.log_prob(int(x[0]))
         assert type(single) is float
         assert single == 2 * psi.log_amp(int(x[0])).real
+
+
+@pytest.mark.parametrize("size", [1, 3, 1023, 1024, 1025, 4099])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_long_batches_equal_separate_block_calls_bitwise(size, flavor):
+    block = states._BLOCK
+    assert block == 1024
+    psi = init_gaussian(12, sigma=0.3, seed=size, flavor=flavor)
+    x = np.random.default_rng(size).integers(0, 1 << 12, size=size)
+    starts = range(0, size, block)
+    assert np.array_equal(
+        psi.log_amp(x),
+        np.concatenate([psi.log_amp(x[i:i + block]) for i in starts]))
+    assert np.array_equal(
+        psi.log_prob(x),
+        np.concatenate([psi.log_prob(x[i:i + block]) for i in starts]))
+
+
+@pytest.mark.parametrize("n", [4, 10, 16])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_log_grad_equals_concatenated_formula_bitwise(n, flavor):
+    psi = init_gaussian(n, sigma=0.3, seed=n, flavor=flavor)
+    x = np.random.default_rng(n).integers(0, 1 << n, size=257)
+    for size in (1, 3, 257):
+        s = spins(x[:size], n)
+        t = np.tanh(psi.c + s @ psi.w.T)
+        want = np.concatenate(
+            [s.astype(t.dtype), t,
+             (t[:, :, None] * s[:, None, :]).reshape(size, psi.m * n)], axis=1)
+        assert np.array_equal(psi.log_grad(x[:size]), want)
+    assert np.array_equal(psi.log_grad(int(x[0])), psi.log_grad(x[:1])[0])
 
 
 def test_log2cosh_accuracy_and_range():
