@@ -13,8 +13,9 @@ l(x), estimated on samples of pi(x) = |psi(x)|^2 / <psi|psi>.
 Local energies read operator rows from each sum's compiled RowForm (see
 operators): the solver's l(x) needs one grouped expansion of A^2 at the
 pi-samples, plus grouped rows of A at the beta samples and for (A b)(x), so
-each distinct column of a row costs one amplitude read.  All per-epoch
-amplitude work is funneled through one table of psi values per estimate.
+each distinct column of a row costs one amplitude read.  All of a model's
+per-epoch amplitude work is funneled through one table of psi values per
+estimate.
 Stored vectors are read linearly, which keeps their exact zeros; every
 other model is read as log psi with one shared magnitude shift, which
 cancels in every ratio the estimators form, so nothing here can overflow
@@ -23,10 +24,17 @@ on its own.
 When the basis is no larger than the proposals an epoch makes (n <=
 dense_limit and 2^n <= batch_size * thin), training evaluates log psi over
 the whole basis once per parameter set, in one log_amp call, and hands that
-table to the sampler, the local energies and the fidelity check in place of
-the model.  A state's value then no longer depends on which other states
+table to the sampler, the energy functions and the fidelity check in place
+of the model.  The chains walk the table one by one (see sampling), and
+the energies come from whole-basis products with the operator's compiled
+rows, built once per training run: psi divided by its largest magnitude
+over the basis, then A psi and A^2 psi = A (A psi) for the solver, or
+H psi, gathered at the pi samples, with Ehat still the mean over the beta
+samples.  A state's value then no longer depends on which other states
 share a model call, so such runs are bit for bit the same at any chain
-count; the samples, energies and fidelities are those of the model itself.
+count.  Their samples and acceptances are those of the model path; the
+energies sum in another order, so losses differ from a model-path run in
+the last bits.
 """
 
 from __future__ import annotations
@@ -39,41 +47,18 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute because
 # perfbench's traced replay wraps engine.expand_rows and apply_to_state
 from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
-from .sampling import acceptance_stats, default_thin, metropolis_sample, sample_beta
+from .sampling import (_BasisTable, acceptance_stats, default_thin,
+                       metropolis_sample, sample_beta)
 from .states import DenseState, dense_vector
 
 _PI_STREAM = 0
 _BETA_STREAM = 1
-
-
-class _BasisTable:
-    """log psi over the whole basis, from one log_amp call.
-
-    Stands in for its model wherever amplitudes are read (the sampler,
-    the local energies, dense_vector): ``log_amp`` and ``log_prob`` gather
-    from the table, so they equal the model's own values bit for bit
-    wherever the model gives a state the value a whole-basis call does.
-    It has no ``flavor``, since a read costs the same for every model.
-    """
-
-    def __init__(self, psi):
-        self.n = psi.n
-        self.log_amps = np.asarray(psi.log_amp(np.arange(1 << psi.n, dtype=np.int64)),
-                                   dtype=np.complex128)
-        self.log_probs = 2.0 * self.log_amps.real
-
-    def log_amp(self, x):
-        out = self.log_amps[np.asarray(x, dtype=np.int64)]
-        return complex(out) if out.ndim == 0 else out
-
-    def log_prob(self, x):
-        out = self.log_probs[np.asarray(x, dtype=np.int64)]
-        return float(out) if out.ndim == 0 else out
 
 
 def _tabulate(psi, config):
@@ -92,25 +77,17 @@ class _AmpTable:
     Built from a list of index arrays; ``log_amps(k)`` and
     ``scaled_amps(k)`` return the values at the k-th array's indices, in
     its shape.  ``scaled_amps`` is psi divided by its largest touched
-    magnitude, so downstream ratios never overflow.  A _BasisTable is read
-    at the indices themselves; any other model is evaluated once per
-    distinct index, all deduplicated by one np.unique.  A DenseState is
+    magnitude, so downstream ratios never overflow.  psi is evaluated once
+    per distinct index, all deduplicated by one np.unique.  A DenseState is
     read linearly, which keeps exact zeros (their log is -inf and they
     contribute nothing to any row sum); every other model goes through
-    ``log_amp`` with the shift applied in the exponent.
+    ``log_amp`` with the shift applied in the exponent.  Training reads a
+    _BasisTable by whole-basis products instead (see _table_energies).
     """
 
     def __init__(self, psi, index_arrays):
         arrays = [np.asarray(a, dtype=np.int64) for a in index_arrays]
         self._linear = isinstance(psi, DenseState)
-        if isinstance(psi, _BasisTable):
-            self._slots = arrays
-            self._values = psi.log_amps
-            touched = [self._values.real[a].max() for a in arrays if a.size]
-            self._shift = float(max(touched)) if touched else 0.0
-            with np.errstate(over="ignore"):
-                self._unscale = float(np.exp(self._shift))
-            return
         indices, inverse = np.unique(
             np.concatenate([a.reshape(-1) for a in arrays]), return_inverse=True)
         cuts = np.cumsum([a.size for a in arrays])[:-1]
@@ -138,10 +115,7 @@ class _AmpTable:
     def _scaled(self):
         if self._linear:
             return self._values / self._unscale
-        # a _BasisTable's untouched entries may lie above the shift; they
-        # may overflow here but are never read
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(self._values - self._shift)
+        return np.exp(self._values - self._shift)
 
     def log_amps(self, k):
         return self._log[self._slots[k]]
@@ -213,6 +187,70 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     ab = np.asarray(apply_to_state(a, b, xs))            # (A b)(x), exact
     l = (a2_psi - ab * e_hat) / table.scaled_amps(0)
     return l, table.unscale(e_hat)
+
+
+# Divided by the basis maximum, psi turns subnormal about 708 e-folds below
+# it; rows further below than this take the row path, whose scale is local.
+_FAR = 650.0
+
+
+class _BasisRows:
+    """A Pauli sum's grouped rows at every basis state, for products with
+    whole-basis vectors; training builds them once per run.
+
+    The rows are laid out as a CSR matrix, whose product sums each row in
+    group order without the temporaries of a gather and a row sum.
+    """
+
+    def __init__(self, h):
+        self.h = h
+        cols, vals = h.row_form().rows(np.arange(1 << h.n, dtype=np.int64))
+        self._matrix = scipy.sparse.csr_array(
+            (vals.ravel(), cols.ravel(), np.arange(cols.shape[0] + 1) * cols.shape[1]),
+            shape=(cols.shape[0],) * 2)
+
+    def __matmul__(self, v):
+        return self._matrix @ v
+
+
+def _table_energies(table, x, numerator, row_path):
+    """Local energies numerator(psi)[x] / psi[x] from a _BasisTable.
+
+    psi holds the table's amplitudes over the whole basis divided by the
+    largest of them, so nothing overflows; ``numerator`` maps it to a
+    whole-basis vector.  Rows of x where psi would lose precision (see
+    _FAR) take ``row_path`` on their indices instead.
+    """
+    la = table.log_amps
+    top = la.real.max()
+    psi = np.exp(la - top)
+    near = la.real[x] >= top - _FAR
+    l = np.empty(x.size, dtype=np.complex128)
+    l[near] = numerator(psi)[x[near]] / psi[x[near]]
+    if not near.all():
+        l[~near] = row_path(x[~near])
+    return l
+
+
+def _table_energy_h(rows, table, x):
+    """local_energy_h at x from one whole-basis product H psi."""
+    return _table_energies(table, x, lambda psi: rows @ psi,
+                           lambda xs: local_energy_h(rows.h, table, xs))
+
+
+def _table_vnls_energies(rows, ab, b, table, x, beta_batch):
+    """vnls_local_energies' energies at x from whole-basis products: A psi,
+    A^2 psi = A (A psi) and ``ab`` = A b, with ``rows`` of A."""
+    bx = beta_batch.indices
+
+    def numerator(psi):
+        apsi = rows @ psi
+        e_hat = (apsi[bx] / b.amp(bx)).mean()
+        return rows @ apsi - ab * e_hat
+
+    return _table_energies(
+        table, x, numerator,
+        lambda xs: vnls_local_energies(rows.h, b, table, xs, beta_batch)[0])
 
 
 def _normalized_weights(weights, size):
@@ -332,13 +370,25 @@ def sr_step(theta, sr):
     solution falls back to a plain gradient step; the flag in the returned
     (theta', fallback) pair reports that.
     """
-    f = np.asarray(sr.fisher)
+    return _sr_solve(theta, _symmetrized(sr.fisher), sr.grad, sr.learning_rate,
+                     sr.shift, sr.ridge)
+
+
+def _symmetrized(f):
+    """(Re F + Re F^T) / 2, as a new float64 array."""
+    f = np.asarray(f)
     if np.iscomplexobj(f):
         f = f.real
     m = np.add(f, f.T, dtype=np.float64)
     m *= 0.5
-    m.flat[::m.shape[0] + 1] += sr.shift * m.diagonal() + sr.ridge
-    grad = np.asarray(sr.grad)
+    return m
+
+
+def _sr_solve(theta, m, grad, learning_rate, shift, ridge):
+    """sr_step on a real, exactly symmetric Fisher matrix m, which it
+    overwrites with the system matrix and its Cholesky factor."""
+    m.flat[::m.shape[0] + 1] += shift * m.diagonal() + ridge
+    grad = np.asarray(grad)
     complex_grad = np.iscomplexobj(grad)
     rhs = np.stack([grad.real, grad.imag], axis=1) if complex_grad else grad
     fallback = False
@@ -353,9 +403,9 @@ def sr_step(theta, sr):
         if complex_grad:
             delta = delta[:, 0] + 1j * delta[:, 1]
     except np.linalg.LinAlgError:
-        delta = sr.grad
+        delta = grad
         fallback = True
-    return theta - sr.learning_rate * delta, fallback
+    return theta - learning_rate * delta, fallback
 
 
 @dataclass
@@ -444,8 +494,11 @@ def _train(psi, config, energy_fn, target):
         g = _gradient(lc, oc)
         _check_finite(epoch, "gradient", g, last_loss)
         f = _fisher(oc)
-        theta, fallback = sr_step(psi.get_params(), SRState(
-            g, f, config.learning_rate, config.shift, config.ridge))
+        # a real Fisher comes from one SYRK product and is exactly symmetric;
+        # the real part of a complex product need not be
+        theta, fallback = _sr_solve(
+            psi.get_params(), _symmetrized(f) if np.iscomplexobj(f) else f, g,
+            config.learning_rate, config.shift, config.ridge)
         _check_finite(epoch, "updated parameters", theta, last_loss)
         psi.set_params(theta)
         source = None
@@ -488,8 +541,15 @@ def train_vqmc(h, psi, config):
         from .oracle import ground_state
         target = ground_state(h)
 
-    def energy(psi_, batch, epoch):
-        return local_energy_h(h, psi_, batch.indices, log_amp_x=batch.log_amps)
+    rows = None  # H over the whole basis, built when the first table arrives
+
+    def energy(source, batch, epoch):
+        nonlocal rows
+        if not isinstance(source, _BasisTable):
+            return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
+        if rows is None:
+            rows = _BasisRows(h)
+        return _table_energy_h(rows, source, batch.indices)
 
     return _train(psi, config, energy, target)
 
@@ -512,10 +572,18 @@ def train_vnls(a, b, psi, config):
         from .oracle import exact_solve
         target = exact_solve(a, b)
 
-    def energy(psi_, batch, epoch):
+    rows = ab = None  # A and A b over the whole basis, built with the first table
+
+    def energy(source, batch, epoch):
+        nonlocal rows, ab
         beta = sample_beta(b, config.batch_size,
                            seed=(config.seed, _BETA_STREAM, epoch))
-        l, _ = vnls_local_energies(a, b, psi_, batch.indices, beta)
-        return l
+        if not isinstance(source, _BasisTable):
+            l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
+            return l
+        if rows is None:
+            rows = _BasisRows(a)
+            ab = rows @ b.amplitudes
+        return _table_vnls_energies(rows, ab, b, source, batch.indices, beta)
 
     return _train(psi, config, energy, target)

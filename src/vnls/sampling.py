@@ -1,15 +1,16 @@
 """Born-distribution samplers.
 
 pi(x) = |psi(x)|^2 / <psi|psi> is sampled by single-bit-flip Metropolis
-chains run in lockstep; beta(x) = |b(x)|^2 / <b|b> is sampled exactly by
-inverse CDF over the nonzero support of the stored vector b.
+chains, run in lockstep on a model and one by one on a table of log psi;
+beta(x) = |b(x)|^2 / <b|b> is sampled exactly by inverse CDF over the
+nonzero support of the stored vector b.
 
 A chain either starts fresh, from a uniformly drawn state on the support
 followed by burn-in, or is warm-started from the ChainState an earlier
 call returned; a warm-started chain draws no start state and, by default,
 takes no burn-in, so training pays burn-in once per run, not per epoch.
 
-The lockstep steps are scored in windows (pre-fetching, Brockwell, J.
+A model's lockstep steps are scored in windows (pre-fetching, Brockwell, J.
 Comput. Graph. Stat. 15:246, 2006), of two kinds.  A path window takes
 every chain's next K proposals along the path on which all of them are
 accepted and scores them in one log_prob call; the chains then advance to
@@ -35,11 +36,17 @@ when its batches fill whole BLAS blocks (OpenBLAS rounds the tail rows of a
 batch whose length is not a multiple of 4 differently; a batch longer than
 the Rbm's 1024-row evaluation block is evaluated block by block, so only
 the last block's tail rounds this way), which holds for any chain count
-that is a multiple of 4, such as the default 8.  Where the
-basis is no larger than an epoch's proposals, training passes a table of
-log psi over the whole basis in place of the model (see vnls.engine); every
-value then comes from one whole-basis call, so such runs are bit for bit
-the same for any chain count.
+that is a multiple of 4, such as the default 8.
+
+Where the basis is no larger than an epoch's proposals, training passes a
+_BasisTable of log psi over the whole basis in place of the model (see
+vnls.engine).  A read there is a list lookup, far cheaper than the numpy
+calls of a window, so the chains take no windows: each walks its own steps
+in a plain Python loop over the table's log pi, in chain order, with the
+same draws and comparisons.  The samples, acceptances and chain states are
+again those of one-proposal-at-a-time Metropolis, and as every value comes
+from one whole-basis call, such runs are bit for bit the same for any
+chain count.
 
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
@@ -52,6 +59,7 @@ Exact enumeration of pi and beta (for small n) lives here too.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,6 +144,32 @@ def default_thin(n):
     return n if n % 2 else n + 1
 
 
+class _BasisTable:
+    """log psi over the whole basis, from one log_amp call.
+
+    Training builds it where the basis is no larger than an epoch's
+    proposals (see vnls.engine) and passes it in place of the model: the
+    sampler walks its chains over ``log_probs`` one by one, and the
+    trainers' local energies take whole-basis products with ``log_amps``.
+    ``log_amp`` and ``log_prob`` gather from the table, for the chains'
+    start states, dense_vector and any caller that reads it as a model.
+    """
+
+    def __init__(self, psi):
+        self.n = psi.n
+        self.log_amps = np.asarray(psi.log_amp(np.arange(1 << psi.n, dtype=np.int64)),
+                                   dtype=np.complex128)
+        self.log_probs = 2.0 * self.log_amps.real
+
+    def log_amp(self, x):
+        out = self.log_amps[np.asarray(x, dtype=np.int64)]
+        return complex(out) if out.ndim == 0 else out
+
+    def log_prob(self, x):
+        out = self.log_probs[np.asarray(x, dtype=np.int64)]
+        return float(out) if out.ndim == 0 else out
+
+
 def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
                       start=None):
     """Draw k samples of pi across ``chains`` single-bit-flip chains.
@@ -149,9 +183,10 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     warm-started ones.  thin defaults to about one sweep but is kept odd: a
     bit-flip walk alternates popcount parity whenever it moves, so an even
     interval would lock a rarely-rejecting chain onto a single parity
-    class.  Proposals are scored in path windows along the all-accept path,
-    or in proposal trees of depth up to 4 where the chains rarely all
-    accept (see the module docstring); the samples, acceptances and chain
+    class.  A model's proposals are scored in path windows along the
+    all-accept path, or in proposal trees of depth up to 4 where the chains
+    rarely all accept; a _BasisTable's chains are walked one by one (see
+    the module docstring).  Either way the samples, acceptances and chain
     states are those of one-proposal-at-a-time Metropolis.  Returns
     (SampleBatch, [ChainState per chain]).
     """
@@ -192,13 +227,79 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     steps = int(chain_steps.max())
     positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
     uniforms = np.stack([rng.random(steps) for rng in rngs])
+    with np.errstate(divide="ignore"):
+        log_u = np.log(uniforms)
+    flips = np.int64(1) << positions
+    if isinstance(psi, _BasisTable):
+        indices, xs, lp, accepted = _walk_chains(
+            psi.log_probs, xs, lp, flips, log_u, burn_in, thin, counts)
+    else:
+        # the all-accept share is seeded from the acceptance of the start chains
+        share = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
+        indices, xs, lp, accepted = _run_windows(
+            psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts, share)
+
+    log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
+                if k else np.zeros(0, np.complex128))
+    batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
+    states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
+                         int(chain_steps[c])) for c in range(chains)]
+    return batch, states
+
+
+def _walk(log_probs, x, lp, flips, log_u, burn_in, thin, count):
+    """One chain's steps, one proposal at a time, over a list of log pi:
+    ``burn_in`` steps, then ``count`` runs of ``thin`` steps, each ending in
+    a recorded state.
+
+    Returns (recorded states, final state, its log pi, accepted steps).
+    """
+    steps = zip(flips, log_u)
+    recorded = []
+    accepted = 0
+    for length in itertools.chain((burn_in,), itertools.repeat(thin, count)):
+        for flip, lu in itertools.islice(steps, length):
+            y = x ^ flip
+            ly = log_probs[y]
+            if lu < ly - lp:
+                x, lp = y, ly
+                accepted += 1
+        recorded.append(x)
+    return recorded[1:], x, lp, accepted
+
+
+def _walk_chains(log_probs, xs, lp, flips, log_u, burn_in, thin, counts):
+    """Every chain walked on its own, in chain order, over the log pi of a
+    _BasisTable.
+
+    A table read is a list lookup, so a plain loop costs less than the
+    numpy calls a window makes.  Takes ``log_probs`` in place of psi and
+    returns what _run_windows does.
+    """
+    log_probs = log_probs.tolist()
+    recorded, xs, lp, accepted = zip(*(
+        _walk(log_probs, x, l, f, u, burn_in, thin, count)
+        for x, l, f, u, count in zip(xs.tolist(), lp.tolist(), flips.tolist(),
+                                     log_u.tolist(), counts)))
+    indices = np.array(list(itertools.chain.from_iterable(recorded)), dtype=np.int64)
+    return indices, xs, lp, accepted
+
+
+def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
+                 hits):
+    """All chains in lockstep, their steps scored in path or tree windows.
+
+    ``xs`` and ``lp`` hold the start states and their log pi; ``flips`` and
+    ``log_u`` each chain's flip masks and log acceptance uniforms, one row
+    per chain; ``hits`` the prior share of steps at which every chain
+    accepted.  Returns the recorded states in chain order, and each chain's
+    final state, its log pi and its accepted steps.
+    """
+    chains, steps = flips.shape
     # Step-major tables.  A step past a chain's end flips no bit: its
     # proposal is the chain's own state, which is accepted and moves nothing.
-    flips = np.where(np.arange(steps) < chain_steps[:, None],
-                     np.int64(1) << positions, 0).T.copy()
-    with np.errstate(divide="ignore"):
-        log_u = np.log(uniforms).T.copy()
-
+    flips = np.where(np.arange(steps) < chain_steps[:, None], flips, 0).T.copy()
+    log_u = log_u.T.copy()
     x0 = xs
     accepts = np.empty((steps, chains), dtype=bool)
     path = np.empty((_MAX_WINDOW + 1, chains), dtype=np.int64)
@@ -216,7 +317,6 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     row_start = np.arange(nodes + 1) * chains
     cols = np.arange(chains)
     # Running share of steps at which every chain accepted, as hits / seen.
-    hits = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
     seen = 1.0
     t = 0
     while t < steps:
@@ -279,16 +379,8 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     moves = np.where(accepts, flips, 0)
     visited = x0 ^ np.bitwise_xor.accumulate(moves, axis=0)  # state after each step
     recorded = visited[burn_in + thin - 1::thin]
-    accepted = np.count_nonzero(moves, axis=0)
-
-    indices = np.concatenate(
-        [recorded[:counts[c], c] for c in range(chains)]) if k else np.zeros(0, np.int64)
-    log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
-                if k else np.zeros(0, np.complex128))
-    batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
-    states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
-                         int(chain_steps[c])) for c in range(chains)]
-    return batch, states
+    indices = np.concatenate([recorded[:count, c] for c, count in enumerate(counts)])
+    return indices, xs, lp, np.count_nonzero(moves, axis=0)
 
 
 def acceptance_stats(chain_states):

@@ -578,10 +578,68 @@ def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
     tabulated, theta = run()
     monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
     plain, theta_plain = run()
-    assert tabulated == plain
-    assert np.array_equal(theta, theta_plain)
+    # the same draws and decisions; the whole-basis energies sum in another
+    # order, so the estimates agree to rounding
+    for field in ("epoch", "acceptance", "sr_fallback"):
+        assert [getattr(r, field) for r in tabulated] == [getattr(r, field) for r in plain]
+    for field in ("loss", "loss_var", "grad_norm", "loss_imag", "fidelity"):
+        got = [getattr(r, field) for r in tabulated]
+        want = [getattr(r, field) for r in plain]
+        assert [v is None for v in got] == [v is None for v in want]
+        np.testing.assert_allclose([v for v in got if v is not None],
+                                   [v for v in want if v is not None], rtol=1e-10)
+    # relative to the largest entry: an entry near zero may differ by an ulp of it
+    np.testing.assert_allclose(theta, theta_plain, rtol=1e-10,
+                               atol=1e-10 * np.abs(theta_plain).max())
     if kind == "vnls":  # fidelity-built tables are handed on, others built lazily
         assert [r.fidelity is not None for r in plain] == [True, False, True, True]
+
+
+@pytest.mark.parametrize("flavor, sigma", [("real", 0.1), ("complex", 0.1), ("real", 3.0)])
+def test_whole_basis_energies_match_the_row_path(flavor, sigma, rng):
+    n = 9
+    prob = random_pauli_problem(n, terms=14, seed=6)
+    h = random_sum(rng, n, 10)
+    psi = init_gaussian(n, sigma=sigma, seed=2, flavor=flavor)
+    table = engine._BasisTable(psi)
+    batch, _ = metropolis_sample(table, n, 300, chains=8, seed=3)
+    beta = sample_beta(prob.b, 300, seed=4)
+    rows = engine._BasisRows(prob.a)
+    got = engine._table_vnls_energies(rows, rows @ prob.b.amplitudes, prob.b,
+                                      table, batch.indices, beta)
+    want, _ = vnls_local_energies(prob.a, prob.b, psi, batch.indices, beta)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    got_h = engine._table_energy_h(engine._BasisRows(h), table, batch.indices)
+    want_h = local_energy_h(h, psi, batch.indices)
+    np.testing.assert_allclose(got_h, want_h, rtol=1e-12)
+
+
+def test_whole_basis_energies_finite_wherever_the_row_path_is():
+    # a_i = 100 spreads log psi over 1600 e-folds: psi divided by its basis
+    # maximum (at x = 0) underflows far from it, where the row path, scaled
+    # by the states its rows read, stays finite
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, sigma=0.5, seed=0)
+    theta = psi.get_params()
+    theta[:8] = 100.0
+    psi.set_params(theta)
+    table = engine._BasisTable(psi)
+    basis = np.arange(256)
+    weight = np.bitwise_count(basis)
+    b = DenseState((weight >= 6).astype(float))  # beta rows far from the peak
+    beta = sample_beta(b, 64, seed=1)
+    rows = engine._BasisRows(prob.a)
+    sampled = metropolis_sample(table, 8, 64, chains=8, seed=5)[0].indices
+    far = basis[(weight == 6) | (weight == 7)]  # their rows read no state near the peak
+    assert np.all(table.log_amps.real[far] < table.log_amps.real.max() - engine._FAR)
+    for x in (sampled, far):
+        got = engine._table_vnls_energies(rows, rows @ b.amplitudes, b, table, x, beta)
+        want, _ = vnls_local_energies(prob.a, b, psi, x, beta)
+        got_h = engine._table_energy_h(rows, table, x)
+        want_h = local_energy_h(prob.a, psi, x)
+        for g, w in ((got, want), (got_h, want_h)):
+            assert np.isfinite(w).all()
+            np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
 @pytest.mark.parametrize("oracle_every", [0, 1])

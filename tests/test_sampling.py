@@ -12,7 +12,7 @@ from vnls import (
     metropolis_sample,
     sample_beta,
 )
-from vnls.sampling import _WALK, seed_seq
+from vnls.sampling import _WALK, _BasisTable, seed_seq
 
 
 def frequencies(indices, dim):
@@ -323,6 +323,11 @@ MODELS = {
     "complex-0.01": lambda: (_rbm("complex", 0.01), 6),
     "complex-0.12": lambda: (_rbm("complex", 0.12), 6),
     "complex-1": lambda: (_rbm("complex", 1.0), 6),
+    # tables of log psi over the basis, which the chains walk one by one
+    "table-real-0.01": lambda: (_BasisTable(_rbm("real", 0.01)), 6),
+    "table-real-1": lambda: (_BasisTable(_rbm("real", 1.0)), 6),
+    "table-complex-0.12": lambda: (_BasisTable(_rbm("complex", 0.12)), 6),
+    "table-complex-1": lambda: (_BasisTable(_rbm("complex", 1.0)), 6),
 }
 
 # chain counts that are multiples of 4 keep every window's batch in whole
@@ -350,7 +355,7 @@ def assert_same_run(got, want):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_windows_reproduce_one_proposal_per_step(model, args):
     psi, n = MODELS[model]()
-    if args["chains"] % 4 and not isinstance(psi, DenseState):
+    if args["chains"] % 4 and not isinstance(psi, (DenseState, _BasisTable)):
         psi = RowWise(psi)
     fresh = metropolis_sample(psi, n, seed=(21, 0), **args)
     assert_same_run(fresh, reference_metropolis(psi, n, seed=(21, 0), **args))
@@ -361,6 +366,19 @@ def test_windows_reproduce_one_proposal_per_step(model, args):
         assert_same_run(warm, reference_metropolis(psi, n, seed=(21, call),
                                                    start=start, **warm_args))
         start = warm[1]
+
+
+def test_table_walk_reads_log_prob_only_for_start_states():
+    table = _BasisTable(init_gaussian(8, sigma=0.3, seed=2))
+    calls = []
+    read = table.log_prob
+    table.log_prob = lambda x: calls.append(np.size(x)) or read(x)
+    _, states = metropolis_sample(table, 8, 512, chains=8, seed=1)
+    assert calls == [1] * 8 + [8]  # each fresh start, then all starts at once
+    calls.clear()
+    batch, _ = metropolis_sample(table, 8, 512, chains=8, seed=2, start=states)
+    assert calls == [8]
+    assert len(batch) == 512
 
 
 class Recorder:
