@@ -3,7 +3,8 @@
 Classically trains a compact wavefunction model so that A |psi> lines up
 with a right-hand side |b> over a 2^n-dimensional space, using Monte Carlo
 estimates of a nonnegative Rayleigh-quotient objective and natural-gradient
-updates.  An exact dense oracle (n <= 14) certifies the result.
+updates.  An exact oracle over the whole basis (n <=
+operators.DENSE_LIMIT, or a run's dense_limit) certifies the result.
 """
 
 from .engine import (

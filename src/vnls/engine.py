@@ -26,10 +26,11 @@ dense_limit and 2^n <= batch_size * thin), training evaluates log psi over
 the whole basis once per parameter set, in one log_amp call, and hands that
 table to the sampler, the energy functions and the fidelity check in place
 of the model.  The chains walk the table one by one (see sampling), and
-the energies come from whole-basis products with the operator's compiled
-rows, built once per training run: psi divided by its largest magnitude
-over the basis, then A psi and A^2 psi = A (A psi) for the solver, or
-H psi, gathered at the pi samples, with Ehat still the mean over the beta
+the energies come from whole-basis products with the operator's CSR
+matrix (oracle.to_sparse, laid out from the same compiled rows and built
+once per training run): psi divided by its largest magnitude over the
+basis, then A psi and A^2 psi = A (A psi) for the solver, or H psi,
+gathered at the pi samples, with Ehat still the mean over the beta
 samples.  A state's value then no longer depends on which other states
 share a model call, so such runs are bit for bit the same at any chain
 count.  Their samples and acceptances are those of the model path; the
@@ -47,11 +48,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
+from . import oracle
 from .errors import CapabilityError
-# expand_rows is not called here; it stays a module attribute because
-# perfbench's traced replay wraps engine.expand_rows and apply_to_state
+# expand_rows is not called here; it stays a module attribute only because
+# perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
+# retires that replay
 from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
 from .sampling import (_BasisTable, acceptance_stats, default_thin,
                        metropolis_sample, sample_beta)
@@ -194,25 +196,6 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
 _FAR = 650.0
 
 
-class _BasisRows:
-    """A Pauli sum's grouped rows at every basis state, for products with
-    whole-basis vectors; training builds them once per run.
-
-    The rows are laid out as a CSR matrix, whose product sums each row in
-    group order without the temporaries of a gather and a row sum.
-    """
-
-    def __init__(self, h):
-        self.h = h
-        cols, vals = h.row_form().rows(np.arange(1 << h.n, dtype=np.int64))
-        self._matrix = scipy.sparse.csr_array(
-            (vals.ravel(), cols.ravel(), np.arange(cols.shape[0] + 1) * cols.shape[1]),
-            shape=(cols.shape[0],) * 2)
-
-    def __matmul__(self, v):
-        return self._matrix @ v
-
-
 def _table_energies(table, x, numerator, row_path):
     """Local energies numerator(psi)[x] / psi[x] from a _BasisTable.
 
@@ -232,25 +215,26 @@ def _table_energies(table, x, numerator, row_path):
     return l
 
 
-def _table_energy_h(rows, table, x):
-    """local_energy_h at x from one whole-basis product H psi."""
-    return _table_energies(table, x, lambda psi: rows @ psi,
-                           lambda xs: local_energy_h(rows.h, table, xs))
+def _table_energy_h(h, matrix, table, x):
+    """local_energy_h at x from one whole-basis product H psi, with
+    ``matrix`` = to_sparse(h)."""
+    return _table_energies(table, x, lambda psi: matrix @ psi,
+                           lambda xs: local_energy_h(h, table, xs))
 
 
-def _table_vnls_energies(rows, ab, b, table, x, beta_batch):
+def _table_vnls_energies(a, matrix, ab, b, table, x, beta_batch):
     """vnls_local_energies' energies at x from whole-basis products: A psi,
-    A^2 psi = A (A psi) and ``ab`` = A b, with ``rows`` of A."""
+    A^2 psi = A (A psi) and ``ab`` = A b, with ``matrix`` = to_sparse(a)."""
     bx = beta_batch.indices
 
     def numerator(psi):
-        apsi = rows @ psi
+        apsi = matrix @ psi
         e_hat = (apsi[bx] / b.amp(bx)).mean()
-        return rows @ apsi - ab * e_hat
+        return matrix @ apsi - ab * e_hat
 
     return _table_energies(
         table, x, numerator,
-        lambda xs: vnls_local_energies(rows.h, b, table, xs, beta_batch)[0])
+        lambda xs: vnls_local_energies(a, b, table, xs, beta_batch)[0])
 
 
 def _normalized_weights(weights, size):
@@ -506,9 +490,8 @@ def _train(psi, config, energy_fn, target):
         fid = None
         if target is not None and (epoch % config.oracle_every == 0
                                    or epoch == config.epochs - 1):
-            from .oracle import fidelity
             source = _tabulate(psi, config)  # the next epoch reads it too
-            fid = fidelity(dense_vector(source, config.dense_limit), target)
+            fid = oracle.fidelity(dense_vector(source, config.dense_limit), target)
         # Im E[l] vanishes for Hermitian operators; flag it only when it
         # clearly exceeds the statistical error of the batch mean.
         noise = np.sqrt(variance / max(1, len(batch)))
@@ -538,18 +521,17 @@ def train_vqmc(h, psi, config):
         if h.n > config.dense_limit:
             raise CapabilityError(
                 f"fidelity tracking needs n <= {config.dense_limit}")
-        from .oracle import ground_state
-        target = ground_state(h)
+        target = oracle.ground_state(h, config.dense_limit)
 
-    rows = None  # H over the whole basis, built when the first table arrives
+    matrix = None  # H over the whole basis, built when the first table arrives
 
     def energy(source, batch, epoch):
-        nonlocal rows
+        nonlocal matrix
         if not isinstance(source, _BasisTable):
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
-        if rows is None:
-            rows = _BasisRows(h)
-        return _table_energy_h(rows, source, batch.indices)
+        if matrix is None:
+            matrix = oracle.to_sparse(h, config.dense_limit)
+        return _table_energy_h(h, matrix, source, batch.indices)
 
     return _train(psi, config, energy, target)
 
@@ -569,21 +551,20 @@ def train_vnls(a, b, psi, config):
         if a.n > config.dense_limit:
             raise CapabilityError(
                 f"fidelity tracking needs n <= {config.dense_limit}")
-        from .oracle import exact_solve
-        target = exact_solve(a, b)
+        target = oracle.exact_solve(a, b, config.dense_limit)
 
-    rows = ab = None  # A and A b over the whole basis, built with the first table
+    matrix = ab = None  # A and A b over the whole basis, built with the first table
 
     def energy(source, batch, epoch):
-        nonlocal rows, ab
+        nonlocal matrix, ab
         beta = sample_beta(b, config.batch_size,
                            seed=(config.seed, _BETA_STREAM, epoch))
         if not isinstance(source, _BasisTable):
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
-        if rows is None:
-            rows = _BasisRows(a)
-            ab = rows @ b.amplitudes
-        return _table_vnls_energies(rows, ab, b, source, batch.indices, beta)
+        if matrix is None:
+            matrix = oracle.to_sparse(a, config.dense_limit)
+            ab = matrix @ b.amplitudes
+        return _table_vnls_energies(a, matrix, ab, b, source, batch.indices, beta)
 
     return _train(psi, config, energy, target)

@@ -35,8 +35,12 @@ PAULI_MATRICES = {
 }
 
 # Largest qubit count for anything that enumerates the 2^n basis: dense
-# matrices and vectors, the exact oracle and the CLI's --dense-limit default.
+# vectors, to_sparse, the exact oracle and the CLI's --dense-limit default.
 DENSE_LIMIT = 14
+
+# Largest qubit count for full 2^n x 2^n matrices (16 MiB at n = 10, 4 GiB
+# at 14): to_dense's default, and the oracle's switch from LAPACK to sparse.
+DENSE_MATRIX_LIMIT = 10
 
 # Entries below this magnitude are dropped when merging a row.
 MERGE_TOL = 1e-15
@@ -306,17 +310,17 @@ def embed_hermitian(a):
     return PauliSum(out, a.n + 1)
 
 
-def term_to_dense(t):
-    """Dense 2^n x 2^n matrix of a single term (test oracle sized)."""
-    if t.n > DENSE_LIMIT:
-        raise CapabilityError(f"dense materialization limited to n <= {DENSE_LIMIT}")
+def term_to_dense(t, limit=DENSE_MATRIX_LIMIT):
+    """Dense 2^n x 2^n matrix of a single term; refuses n beyond ``limit``."""
+    if t.n > limit:
+        raise CapabilityError(f"dense materialization limited to n <= {limit}")
     m = np.array([[t.coefficient]], dtype=complex)
     for q in range(t.n):
         m = np.kron(m, PAULI_MATRICES[t.factors.get(q, "I")])
     return m
 
 
-def to_dense(h, limit=DENSE_LIMIT):
+def to_dense(h, limit=DENSE_MATRIX_LIMIT):
     """Dense matrix of a sum; refuses n beyond ``limit``."""
     if h.n > limit:
         raise CapabilityError(
@@ -324,7 +328,7 @@ def to_dense(h, limit=DENSE_LIMIT):
     dim = 1 << h.n
     out = np.zeros((dim, dim), dtype=complex)
     for t in h.terms:
-        out += term_to_dense(t)
+        out += term_to_dense(t, limit)
     return out
 
 

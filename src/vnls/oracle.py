@@ -1,11 +1,13 @@
-"""Exact reference computations for moderate sizes (n <= 14).
+"""Exact reference computations for moderate sizes (n <= DENSE_LIMIT).
 
 Everything here enumerates the full 2^n-dimensional space, so it exists to
 check the stochastic machinery, not to compete with it.  Matrices are kept
-sparse (CSR assembled from the O(n) row lookup); full dense matrices are
-only formed for small n where LAPACK is cheaper than Lanczos.  Linear
-solves use conjugate gradients on that CSR, because the X terms make its
-sparsity graph a hypercube on which sparse LU fills in almost completely.
+sparse: to_sparse lays out the compiled RowForm rows of a Pauli sum at
+every basis state as CSR, the same matrix training multiplies by.  Full
+dense matrices are only formed for n <= DENSE_MATRIX_LIMIT, where LAPACK
+is cheaper than Lanczos.  Linear solves use conjugate gradients on that
+CSR, because the X terms make its sparsity graph a hypercube on which
+sparse LU fills in almost completely.
 """
 
 from __future__ import annotations
@@ -18,26 +20,25 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CapabilityError
-from .operators import DENSE_LIMIT, PauliSum, expand_rows, to_dense
+from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, PauliSum, apply_term_row,
+                        to_dense)
 from .states import DenseState, Wavefunction, dense_vector
-
-DENSE_MATRIX_LIMIT = 10  # full 2^n x 2^n matrices, used below this or equal
 
 
 def to_sparse(h, limit=DENSE_LIMIT):
-    """CSR matrix of h, assembled row by row from the sparse row lookup."""
+    """CSR matrix of h from its compiled rows; refuses n beyond ``limit``.
+
+    Row x holds h.row_form().rows(x): one entry per flip group, in group
+    order, so every row has the same number of entries.  An entry whose
+    strings cancel on that row is kept as an explicit zero.
+    """
     if h.n > limit:
         raise CapabilityError(
             f"exact oracle limited to n <= {limit}, got n={h.n}")
     dim = 1 << h.n
-    rows = np.arange(dim, dtype=np.int64)
-    cols, vals = expand_rows(h, rows)
-    t = len(h.terms)
-    mat = sp.coo_matrix(
-        (vals.reshape(-1), (np.repeat(rows, t), cols.reshape(-1))),
-        shape=(dim, dim)).tocsr()
-    mat.sum_duplicates()
-    return mat
+    cols, vals = h.row_form().rows(np.arange(dim, dtype=np.int64))
+    return sp.csr_matrix((vals.ravel(), cols.ravel(),
+                          np.arange(dim + 1) * cols.shape[1]), shape=(dim, dim))
 
 
 def _as_vector(state, limit=DENSE_LIMIT):
@@ -118,10 +119,18 @@ def exact_loss(a, b, psi, limit=DENSE_LIMIT):
     return float(max(0.0, num / np.vdot(vec_psi, vec_psi).real))
 
 
+def _start(mat):
+    """A fixed generic Lanczos start, with a part in every symmetry sector.
+
+    A uniform start is even under a global spin flip; Lanczos stays in that
+    sector when mat commutes with the flip to the last bit, as the Ising
+    family's CSR does, and misses its odd ground state at odd n.
+    """
+    return np.random.default_rng(0).standard_normal(mat.shape[0])
+
+
 def _lanczos_extreme(mat, which):
-    dim = mat.shape[0]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))  # fixed start keeps runs reproducible
-    return float(spla.eigsh(mat, k=1, which=which, v0=v0,
+    return float(spla.eigsh(mat, k=1, which=which, v0=_start(mat),
                             return_eigenvectors=False)[0])
 
 
@@ -151,9 +160,8 @@ def operator_norm_and_condition(a, limit=DENSE_LIMIT):
         hi = max(abs(lmin), abs(lmax))
         if lmin < 0.0 < lmax:
             mat = to_sparse(a, limit).tocsc()
-            dim = mat.shape[0]
-            v0 = np.full(dim, 1.0 / np.sqrt(dim))
-            lo = abs(float(spla.eigsh(mat, k=1, sigma=0.0, which="LM", v0=v0,
+            lo = abs(float(spla.eigsh(mat, k=1, sigma=0.0, which="LM",
+                                      v0=_start(mat),
                                       return_eigenvectors=False)[0]))
         else:
             lo = min(abs(lmin), abs(lmax))
@@ -170,9 +178,7 @@ def ground_state(h, limit=DENSE_LIMIT):
         vals, vecs = np.linalg.eigh(to_dense(h))
         return vecs[:, 0]
     mat = to_sparse(h, limit)
-    dim = mat.shape[0]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=v0)
+    vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=_start(mat))
     return vecs[:, 0]
 
 
@@ -271,8 +277,8 @@ def ising_identities(n, kappa):
     zz_terms = a.terms[n:2 * n - 1]
     vecs = np.empty((n - 1, dim))
     for j, t in enumerate(zz_terms):
-        cols, vals = expand_rows(PauliSum([t], n), np.arange(dim, dtype=np.int64))
-        vecs[j] = (vals[:, 0].real / t.coefficient.real) * b_hat[cols[:, 0]].real
+        cols, vals = apply_term_row(t, np.arange(dim, dtype=np.int64))
+        vecs[j] = (vals.real / t.coefficient.real) * b_hat[cols].real
     gram = vecs @ vecs.T
     gram_dev = float(np.abs(gram - np.eye(n - 1)).max())
 

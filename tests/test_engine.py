@@ -22,6 +22,7 @@ from vnls import (
     random_pauli_problem,
     sample_beta,
     sr_step,
+    to_sparse,
     train_vnls,
     train_vqmc,
     vnls_local_energies,
@@ -604,12 +605,12 @@ def test_whole_basis_energies_match_the_row_path(flavor, sigma, rng):
     table = engine._BasisTable(psi)
     batch, _ = metropolis_sample(table, n, 300, chains=8, seed=3)
     beta = sample_beta(prob.b, 300, seed=4)
-    rows = engine._BasisRows(prob.a)
-    got = engine._table_vnls_energies(rows, rows @ prob.b.amplitudes, prob.b,
-                                      table, batch.indices, beta)
+    matrix = to_sparse(prob.a)
+    got = engine._table_vnls_energies(prob.a, matrix, matrix @ prob.b.amplitudes,
+                                      prob.b, table, batch.indices, beta)
     want, _ = vnls_local_energies(prob.a, prob.b, psi, batch.indices, beta)
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    got_h = engine._table_energy_h(engine._BasisRows(h), table, batch.indices)
+    got_h = engine._table_energy_h(h, to_sparse(h), table, batch.indices)
     want_h = local_energy_h(h, psi, batch.indices)
     np.testing.assert_allclose(got_h, want_h, rtol=1e-12)
 
@@ -628,14 +629,15 @@ def test_whole_basis_energies_finite_wherever_the_row_path_is():
     weight = np.bitwise_count(basis)
     b = DenseState((weight >= 6).astype(float))  # beta rows far from the peak
     beta = sample_beta(b, 64, seed=1)
-    rows = engine._BasisRows(prob.a)
+    matrix = to_sparse(prob.a)
     sampled = metropolis_sample(table, 8, 64, chains=8, seed=5)[0].indices
     far = basis[(weight == 6) | (weight == 7)]  # their rows read no state near the peak
     assert np.all(table.log_amps.real[far] < table.log_amps.real.max() - engine._FAR)
     for x in (sampled, far):
-        got = engine._table_vnls_energies(rows, rows @ b.amplitudes, b, table, x, beta)
+        got = engine._table_vnls_energies(prob.a, matrix, matrix @ b.amplitudes,
+                                          b, table, x, beta)
         want, _ = vnls_local_energies(prob.a, b, psi, x, beta)
-        got_h = engine._table_energy_h(rows, table, x)
+        got_h = engine._table_energy_h(prob.a, matrix, table, x)
         want_h = local_energy_h(prob.a, psi, x)
         for g, w in ((got, want), (got_h, want_h)):
             assert np.isfinite(w).all()
@@ -666,6 +668,15 @@ def test_large_basis_keeps_the_model_path():
                                    burn_in=16, seed=0))
     assert ("log_amp", 1 << 16) not in calls
     assert any(name == "log_prob" for name, _ in calls)
+
+
+def test_raised_dense_limit_reaches_the_oracle():
+    # the oracle takes the run's dense_limit, not its n <= 14 default
+    prob = ising_problem(15, 10.0)
+    psi = init_gaussian(15, seed=0)
+    records = train_vnls(prob.a, prob.b, psi, TrainConfig(
+        epochs=1, batch_size=64, seed=0, oracle_every=1, dense_limit=15))
+    assert 0.0 <= records[0].fidelity <= 1.0
 
 
 def test_tabulate_rule():

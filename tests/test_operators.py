@@ -189,7 +189,13 @@ def test_to_dense_limit():
     h = identity_sum(15)
     with pytest.raises(CapabilityError):
         to_dense(h)
+    # the default stops at full matrices of n = 10: 2^11 x 2^11 is 64 MiB
+    with pytest.raises(CapabilityError):
+        to_dense(identity_sum(11))
+    with pytest.raises(CapabilityError):
+        ops.term_to_dense(identity_sum(11).terms[0])
     assert to_dense(identity_sum(3)).shape == (8, 8)
+    assert to_dense(identity_sum(2), limit=2).shape == (4, 4)
 
 
 def test_hermitian_flag():

@@ -124,6 +124,13 @@ def test_to_sparse_matches_dense(rng):
         n = int(rng.integers(2, 6))
         h = random_sum(rng, n, 5, hermitian=False)
         assert np.allclose(to_sparse(h).toarray(), kron_sum(h), atol=1e-14)
+    empty = to_sparse(PauliSum([], 3))
+    assert empty.shape == (8, 8) and empty.nnz == 0
+    # X0 and X0 Z1 share a column and cancel on the rows with qubit 1 set
+    h = PauliSum([PauliTerm(1.0, {0: "X"}, 2), PauliTerm(1.0, {0: "X", 1: "Z"}, 2)], 2)
+    mat = to_sparse(h)
+    assert np.array_equal(mat.toarray(), kron_sum(h))
+    assert mat.nnz == 4 and np.count_nonzero(mat.data) == 2  # zeros kept
 
 
 def test_to_sparse_respects_limit():
@@ -193,6 +200,18 @@ def test_extremal_eigs_dense_and_lanczos_agree():
     lo11, hi11 = extremal_eigs(big)
     assert 0.9 / 10.0 <= lo11 <= 1.1 / 10.0
     assert 0.95 <= hi11 <= 1.05
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_lanczos_finds_a_ground_state_odd_under_spin_flip(n):
+    # the family's ground state is odd under the global flip at odd n; the
+    # lowest even eigenvalue is 0.173 at n = 11 and 0.161 at n = 13
+    a = ising_problem(n, 10.0).a
+    lo, _ = extremal_eigs(a)
+    assert lo < 0.1
+    psi = ground_state(a)
+    assert rayleigh_quotient(a, psi) == pytest.approx(lo, abs=1e-12)
+    assert np.vdot(psi[::-1], psi).real == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_norm_and_condition_frozen_values():
