@@ -29,7 +29,6 @@ from .operators import (
     apply_sum_row,
     apply_term_row,
     apply_to_state,
-    embed_hermitian,
     identity_sum,
     load_operator,
     parse_pauli_sum,
@@ -88,7 +87,7 @@ __all__ = [
     "train_vnls", "train_vqmc", "vnls_local_energies",
     "CapabilityError", "ParseError",
     "PauliSum", "PauliTerm", "apply_squared_row", "apply_sum_row",
-    "apply_term_row", "apply_to_state", "embed_hermitian", "identity_sum",
+    "apply_term_row", "apply_to_state", "identity_sum",
     "load_operator", "parse_pauli_sum", "save_operator", "to_dense",
     "OracleReport", "check_error_bound", "exact_loss", "exact_solve",
     "extremal_eigs", "fidelity", "ground_state", "ising_identities",

@@ -27,8 +27,8 @@ from .errors import CapabilityError, ParseError
 from .oracle import check_error_bound, exact_solve, fidelity, ising_identities
 from .operators import load_operator
 from .problems import ising_problem, load_problem
-from .states import (DEFAULT_ALPHA, dense_vector, init_gaussian, load_checkpoint,
-                     save_checkpoint)
+from .states import (DEFAULT_ALPHA, check_init_options, dense_vector,
+                     init_gaussian, load_checkpoint, save_checkpoint)
 
 CSV_HEADER = ("epoch", "loss", "loss_var", "grad_norm", "acceptance",
               "fidelity", "wall_ms")
@@ -45,13 +45,12 @@ _DEFAULTS = {
     **{_OPTION_NAMES.get(f.name, f.name): f.default for f in fields(TrainConfig)},
 }
 
-_POSITIVE = ("alpha", "lr", "shift", "ridge", "batch_size", "chains",
-             "dense_limit")
-_NONNEGATIVE = ("epochs", "seed", "oracle_every", "burn_in")
-
-
 class RunConfig(dict):
-    """Validated option mapping for one run (defaults < file < flags)."""
+    """Validated option mapping for one run (defaults < file < flags).
+
+    TrainConfig.validate and check_init_options hold the rules on the
+    options they take; validate() holds only the CLI's own.
+    """
 
     @classmethod
     def build(cls, args, file_keys):
@@ -74,27 +73,18 @@ class RunConfig(dict):
                 merged[key] = value
         cfg = cls(merged)
         cfg.validate()
+        _train_config(cfg).validate()
+        check_init_options(cfg["alpha"], cfg["sigma"], _flavor(cfg))
         return cfg
 
-    def validate(self):
-        for key in _POSITIVE:
-            if key in self and self[key] is not None and not self[key] > 0:
-                raise ParseError(f"option {key} must be positive, got {self[key]}")
-        for key in _NONNEGATIVE:
-            if key in self and self[key] is not None and self[key] < 0:
-                raise ParseError(f"option {key} must be >= 0, got {self[key]}")
-        if "sigma" in self and self["sigma"] is not None and not self["sigma"] > 0:
-            raise ParseError(f"option sigma must be positive, got {self['sigma']}")
-        if "thin" in self and self["thin"] is not None and self["thin"] < 1:
-            raise ParseError(f"option thin must be >= 1, got {self['thin']}")
-        if self.get("model") not in (None,) + _MODELS:
+    def validate(self, n=None):
+        """The model name, and exact tracking only for a problem size n
+        within the dense limit."""
+        if self["model"] not in _MODELS:
             raise ParseError(f"unknown model {self['model']!r}")
-        if self.get("oracle_every"):
-            limit = self.get("dense_limit", _DEFAULTS["dense_limit"])
-            n = self.get("_n")
-            if n is not None and n > limit:
-                raise ParseError(
-                    f"oracle_every needs n <= {limit}, got n={n}")
+        if n is not None and self["oracle_every"] and n > self["dense_limit"]:
+            raise ParseError(
+                f"oracle_every needs n <= {self['dense_limit']}, got n={n}")
 
 
 def _resolve_problem(args):
@@ -126,10 +116,13 @@ def _train_config(cfg):
                           for f in fields(TrainConfig)})
 
 
+def _flavor(cfg):
+    return "real" if cfg["model"] == "rbm-real" else "complex"
+
+
 def _init_model(cfg, n):
-    flavor = "real" if cfg["model"] == "rbm-real" else "complex"
     return init_gaussian(n, alpha=cfg["alpha"], sigma=cfg["sigma"],
-                         seed=cfg["seed"], flavor=flavor)
+                         seed=cfg["seed"], flavor=_flavor(cfg))
 
 
 def write_csv(path, records):
@@ -149,8 +142,7 @@ def write_csv(path, records):
 def cmd_solve(args):
     cfg = RunConfig.build(args, _DEFAULTS.keys())
     problem = _resolve_problem(args)
-    cfg["_n"] = problem.n
-    cfg.validate()
+    cfg.validate(problem.n)
     psi = _init_model(cfg, problem.n)
     records = train_vnls(problem.a, problem.b, psi, _train_config(cfg))
     out = args.output or "solve.csv"
@@ -178,8 +170,7 @@ def cmd_vqmc(args):
         h = problem.a
     if not h.is_hermitian:
         raise ParseError("vqmc needs a Hermitian operator (real coefficients)")
-    cfg["_n"] = h.n
-    cfg.validate()
+    cfg.validate(h.n)
     psi = _init_model(cfg, h.n)
     records = train_vqmc(h, psi, _train_config(cfg))
     out = args.output or "vqmc.csv"
@@ -210,7 +201,7 @@ def cmd_oracle(args):
     if problem.kappa is not None:
         print(f"kappa_nominal={problem.kappa!r}")
     if args.ising is not None:
-        checks = ising_identities(problem.n, problem.kappa)
+        checks = ising_identities(problem.n, problem.kappa, cfg["dense_limit"])
         for key, value in checks.items():
             print(f"ising_{key}={value!r}")
     if args.output:
@@ -288,7 +279,7 @@ def cmd_ising_scan(args):
     for kappa in kappas:
         for n in range(n_min, n_max + 1):
             problem = ising_problem(n, kappa)
-            sol = exact_solve(problem.a, problem.b)
+            sol = exact_solve(problem.a, problem.b, cfg["dense_limit"])
             fid = fidelity(problem.b.amplitudes, sol)
             rows.append((n, kappa, fid))
             print(f"ising-scan: n={n} kappa={kappa:g} fidelity={fid:.8f}")

@@ -40,6 +40,8 @@ the last bits.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -55,9 +57,9 @@ from .errors import CapabilityError
 # perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
 # retires that replay
 from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
-from .sampling import (_BasisTable, acceptance_stats, default_thin,
-                       metropolis_sample, sample_beta)
-from .states import DenseState, dense_vector
+from .sampling import (_BasisTable, _beta_cdf, _draw_beta, acceptance_stats,
+                       default_thin, metropolis_sample)
+from .states import DenseState, _is_number, dense_vector
 
 _PI_STREAM = 0
 _BETA_STREAM = 1
@@ -394,7 +396,14 @@ def _sr_solve(theta, m, grad, learning_rate, shift, ridge):
 
 @dataclass
 class TrainConfig:
-    """Knobs shared by both training loops."""
+    """Knobs shared by both training loops.
+
+    validate() holds every rule on these fields: epochs, seed and
+    oracle_every are integers >= 0; batch_size, chains and dense_limit are
+    integers >= 1; burn_in is None or an integer >= 0; thin is None or an
+    integer >= 1; learning_rate, shift and ridge are finite and positive.
+    bool is not taken for a number.
+    """
 
     epochs: int = 1000
     batch_size: int = 1024
@@ -410,22 +419,19 @@ class TrainConfig:
     dense_limit: int = DENSE_LIMIT
 
     def validate(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        for name in ("batch_size", "chains", "dense_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("learning_rate", "shift", "ridge"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("burn_in", "thin"):
+        """Raise ValueError unless every field meets the class's rules."""
+        for name, low in (("epochs", 0), ("batch_size", 1), ("chains", 1),
+                          ("burn_in", 0), ("thin", 1), ("seed", 0),
+                          ("oracle_every", 0), ("dense_limit", 1)):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.thin is not None and self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.oracle_every < 0:
-            raise ValueError("oracle_every must be >= 0")
+            if v is None and name in ("burn_in", "thin"):
+                continue
+            if not _is_number(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        for name in ("learning_rate", "shift", "ridge"):
+            v = getattr(self, name)
+            if not (_is_number(v, numbers.Real) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 @dataclass
@@ -554,11 +560,12 @@ def train_vnls(a, b, psi, config):
         target = oracle.exact_solve(a, b, config.dense_limit)
 
     matrix = ab = None  # A and A b over the whole basis, built with the first table
+    beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
     def energy(source, batch, epoch):
         nonlocal matrix, ab
-        beta = sample_beta(b, config.batch_size,
-                           seed=(config.seed, _BETA_STREAM, epoch))
+        beta = _draw_beta(b, beta_cdf, config.batch_size,
+                          seed=(config.seed, _BETA_STREAM, epoch))
         if not isinstance(source, _BasisTable):
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l

@@ -292,24 +292,6 @@ def apply_squared_row(a, psi, x):
     return _apply_form(a.square_form(), psi, x)
 
 
-def embed_hermitian(a):
-    """Hermitian dilation of an arbitrary sum a onto n+1 qubits.
-
-    The ancilla becomes qubit 0 and original qubits shift up by one, giving
-    the block matrix [[0, a], [a^H, 0]]: each term c*P contributes
-    Re(c)*(X_anc (x) P) - Im(c)*(Y_anc (x) P), with zero parts skipped.
-    """
-    out = []
-    for t in a.terms:
-        shifted = {q + 1: letter for q, letter in t.factors.items()}
-        re, im = t.coefficient.real, t.coefficient.imag
-        if re != 0.0:
-            out.append(PauliTerm(re, {0: "X", **shifted}, t.n + 1))
-        if im != 0.0:
-            out.append(PauliTerm(-im, {0: "Y", **shifted}, t.n + 1))
-    return PauliSum(out, a.n + 1)
-
-
 def term_to_dense(t, limit=DENSE_MATRIX_LIMIT):
     """Dense 2^n x 2^n matrix of a single term; refuses n beyond ``limit``."""
     if t.n > limit:

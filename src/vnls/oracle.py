@@ -56,9 +56,10 @@ def exact_solve(a, b, limit=DENSE_LIMIT):
     """x = A^{-1} b, with a residual guarantee.
 
     A Hermitian PauliSum is solved by conjugate gradients from zero, which
-    needs only products with its CSR matrix.  Any other A, and a Hermitian
-    one on which CG misses the residual bound (breakdown on an indefinite
-    spectrum, or a near-singular A), is solved by sparse LU.
+    needs only products with its CSR matrix.  Sparse LU is reached only for
+    an A that is not a PauliSum (a matrix), a non-Hermitian PauliSum, or a
+    CG miss of the residual bound (breakdown on an indefinite spectrum, or
+    a near-singular A).
 
     Raises numpy.linalg.LinAlgError when A is singular or so
     ill-conditioned that the relative residual exceeds 1e-10.
@@ -208,16 +209,8 @@ class OracleReport:
 
     def to_lines(self):
         """Flat key=value block (the solution vector stays out of it)."""
-        out = []
-        for name in self.CSV_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                out.append(f"{name}={str(value).lower()}")
-            elif isinstance(value, float):
-                out.append(f"{name}={value!r}")
-            else:
-                out.append(f"{name}={value}")
-        return out
+        return [f"{name}={text}"
+                for name, text in zip(self.CSV_FIELDS, self.to_csv_row())]
 
     def to_csv_row(self):
         row = []
@@ -255,7 +248,7 @@ def check_error_bound(a, b, psi, solution=None, spectrum=None,
         bound_satisfied=bool(dist <= bound + 1e-12), solution=sol)
 
 
-def ising_identities(n, kappa):
+def ising_identities(n, kappa, limit=DENSE_LIMIT):
     """Closed-form checks of the conditioned benchmark problem.
 
     Returns a dict with the worst-case deviations: orthonormality of the
@@ -263,7 +256,7 @@ def ising_identities(n, kappa):
     expansion of A b, the per-entry perturbation size against its
     2^{-n/2} * 0.05 envelope, the squared distance between the normalized
     b and A^{-1} applied to it against its closed-form budget, and the
-    fidelity between b and A^{-1} b.
+    fidelity between b and A^{-1} b.  Refuses n beyond ``limit``.
     """
     from .problems import ising_perturbation_scale, ising_problem
 
@@ -284,7 +277,7 @@ def ising_identities(n, kappa):
 
     # A b = b + scale * sum_j ZZ_j b exactly
     scale = ising_perturbation_scale(n, kappa)
-    ab = to_sparse(a) @ b_hat
+    ab = to_sparse(a, limit) @ b_hat
     expansion_residual = float(np.abs(ab - (b_hat + scale * vecs.sum(axis=0))).max())
 
     # entry formula: (sum_j ZZ_j b_hat)(x) = 2^{-n/2} (agree(x) - disagree(x))
@@ -296,7 +289,7 @@ def ising_identities(n, kappa):
     entry_perturbation = float(np.abs(ab - b_hat).max())
     entry_budget = float(0.05 / np.sqrt(dim))
 
-    sol = exact_solve(a, b_hat)
+    sol = exact_solve(a, b_hat, limit)
     distance_sq = float(np.linalg.norm(b_hat - sol) ** 2)
     distance_budget = float(0.0025 * (kappa - 1.0) ** 2 * (n - 1) / n ** 2)
 

@@ -396,18 +396,28 @@ def sample_beta(b, k, seed=0):
     Inverse-CDF over the nonzero support, so zero entries of b can never
     appear.  Raises if b has no nonzero entry.
     """
+    return _draw_beta(b, _beta_cdf(b), k, seed)
+
+
+def _beta_cdf(b):
+    """(support, cdf): b's nonzero indices and the running sum of |b|^2
+    over them, which every draw from beta reads; built once per b."""
     amps = b.amplitudes
     support = np.flatnonzero(amps)
     if support.size == 0:
         raise ValueError("b has no nonzero entries")
-    weights = np.abs(amps[support]) ** 2
-    cdf = np.cumsum(weights)
+    return support, np.cumsum(np.abs(amps[support]) ** 2)
+
+
+def _draw_beta(b, support_cdf, k, seed):
+    """sample_beta with b's support and CDF from _beta_cdf(b)."""
+    support, cdf = support_cdf
     rng = np.random.default_rng(seed_seq(seed))
     u = rng.random(k) * cdf[-1]
     pos = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
     indices = support[pos].astype(np.int64)
     return SampleBatch(indices=indices, source="beta",
-                       log_amps=np.log(amps[indices]))
+                       log_amps=np.log(b.amplitudes[indices]))
 
 
 def enumerate_born(psi, limit=DENSE_LIMIT):

@@ -9,6 +9,7 @@ and a flat parameter vector ordered [a, c, W.ravel()] for the RBM.
 from __future__ import annotations
 
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -194,22 +195,36 @@ class Rbm(Wavefunction):
         self.w = theta[n + m:].reshape(m, n).copy()
 
 
+def check_init_options(alpha, sigma, flavor):
+    """Raise ValueError unless init_gaussian takes these options: flavor is
+    "real" or "complex", alpha is finite and positive, and sigma is None
+    (the flavor's default) or finite and positive."""
+    if flavor not in DEFAULT_SIGMA:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if sigma is None:
+        sigma = DEFAULT_SIGMA[flavor]
+    for name, v in (("alpha", alpha), ("sigma", sigma)):
+        if not (_is_number(v, numbers.Real) and math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+def _is_number(v, kind):
+    """v is an instance of the numbers ABC kind, and not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def init_gaussian(n, alpha=DEFAULT_ALPHA, sigma=None, seed=0, flavor="real"):
     """Fresh RBM with ceil(alpha*n) hidden units and N(0, sigma^2) entries.
 
     Complex flavor draws real and imaginary parts independently.  sigma
-    defaults per flavor (0.01 real, 0.05 complex) and must be positive.
+    defaults per flavor (0.01 real, 0.05 complex); check_init_options
+    states the rules on alpha, sigma and flavor.
     """
-    if flavor not in DEFAULT_SIGMA:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    check_init_options(alpha, sigma, flavor)
     if n < 1:
         raise ValueError("need at least one qubit")
-    if alpha <= 0:
-        raise ValueError("hidden density alpha must be positive")
     if sigma is None:
         sigma = DEFAULT_SIGMA[flavor]
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     m = math.ceil(alpha * n)
     rng = np.random.default_rng(seed)
 

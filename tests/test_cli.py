@@ -142,6 +142,14 @@ def test_oracle_beyond_dense_limit_exits_3(tmp_path, capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--ising", 15, 10, "--dense-limit", 15],
+    ["ising-scan", 15, 15, "--kappas", 10, "--dense-limit", 15],
+])
+def test_raised_dense_limit_reaches_every_oracle_call(argv):
+    assert run(argv) == 0
+
+
 def test_solve_oracle_every_needs_small_n():
     # exact tracking on a problem beyond the dense limit is a config error
     assert run(["solve", "--ising", 4, 10, "--oracle-every", 1,
@@ -171,6 +179,10 @@ def test_diverging_solve_exits_2_with_diagnosis(tmp_path, capsys):
     ["sweep", "--ising", 3, 10, "--axis", "batch", "--values"],
     ["ising-scan", 5, 3],
     ["ising-scan", 4, 6, "--kappas", "0.5"],
+    ["solve", "--ising", 4, 10, "--alpha", "inf"],
+    ["solve", "--ising", 4, 10, "--shift", "inf"],
+    ["solve", "--ising", 4, 10, "--ridge", "inf"],
+    ["solve", "--ising", 4, 10, "--seed", -1],
 ])
 def test_config_errors_exit_2(argv):
     assert run(argv) == 2
@@ -205,6 +217,15 @@ def test_config_file_invalid_json(tmp_path):
     cfg.write_text("{not json", encoding="utf-8")
     assert run(["solve", "--ising", 3, 10, "--config", cfg,
                 "-o", tmp_path / "x.csv"]) == 2
+
+
+@pytest.mark.parametrize("options", [{"epochs": 2.5}, {"chains": "8"}])
+def test_config_file_wrong_type_exits_2(tmp_path, capsys, options):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options), encoding="utf-8")
+    code, _, err = run(["solve", "--ising", 3, 10, "--config", cfg,
+                        "-o", tmp_path / "x.csv"], capsys)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_sweep_batch_axis_keeps_sample_budget(tmp_path):

@@ -440,6 +440,10 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0).validate()
     with pytest.raises(ValueError):
         TrainConfig(thin=0).validate()
+    for bad in ({"seed": -1}, {"shift": np.inf}, {"ridge": np.nan},
+                {"epochs": 2.5}):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad).validate()
     TrainConfig().validate()
 
 

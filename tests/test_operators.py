@@ -13,7 +13,6 @@ from vnls import (
     apply_sum_row,
     apply_term_row,
     apply_to_state,
-    embed_hermitian,
     identity_sum,
     parse_pauli_sum,
     to_dense,
@@ -162,27 +161,6 @@ def test_expand_rows_shape():
     assert np.all(apply_to_state(PauliSum([], 2), DenseState(np.ones(4)),
                                  np.arange(4)) == 0)
     del empty
-
-
-def test_embed_hermitian_blocks(rng):
-    # frozen: embedding of i*X0 is exactly -1 * (Y on ancilla) (x) (X)
-    emb = embed_hermitian(PauliSum([PauliTerm(1j, {0: "X"}, 1)], 1))
-    assert emb.terms == [PauliTerm(-1.0, {0: "Y", 1: "X"}, 2)]
-    for n in range(1, 9, 2):
-        a = random_sum(rng, n, 4, hermitian=False)
-        dense_a = kron_sum(a)
-        dense_e = kron_sum(embed_hermitian(a))
-        dim = 1 << n
-        assert np.allclose(dense_e[:dim, dim:], dense_a, atol=1e-13)
-        assert np.allclose(dense_e[dim:, :dim], dense_a.conj().T, atol=1e-13)
-        assert np.abs(dense_e[:dim, :dim]).max() == 0.0
-        assert np.abs(dense_e[dim:, dim:]).max() == 0.0
-        assert np.allclose(dense_e, dense_e.conj().T, atol=1e-13)
-
-
-def test_embed_skips_zero_parts():
-    emb = embed_hermitian(PauliSum([PauliTerm(2.0, {0: "Z"}, 1)], 1))
-    assert len(emb) == 1  # purely real coefficient: no Y part
 
 
 def test_to_dense_limit():

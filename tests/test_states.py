@@ -182,6 +182,9 @@ def test_init_gaussian_validation():
         init_gaussian(3, sigma=-0.1)
     with pytest.raises(ValueError):
         init_gaussian(3, flavor="other")
+    for alpha in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError):
+            init_gaussian(3, alpha=alpha)
     psi = init_gaussian(5, alpha=2.0)
     assert psi.m == 10  # ceil(alpha * n)
     assert init_gaussian(3, alpha=0.4).m == 2
