@@ -21,22 +21,21 @@ acceptance of the start chains.  Where that K is 1, a tree window scores
 instead every state a chain could reach over its next D steps, under any
 pattern of accepts and rejects: 2^D - 1 proposals per chain in one call, one
 vectorised comparison for all of them, and a table lookup that walks each
-chain to the state its accepts lead to.  A tree advances D steps per call
-whatever the acceptance.  D is the deepest depth up to 4 with chains *
-(2^D - 1) <= 128 states (4 at the default 8 chains, 1 from 43 chains on);
-a complex-flavor RBM keeps D = 1, since complex exp and log make its extra
-states cost more than the calls they save.  At D = 1, and for the last
-steps of a call when fewer than D remain, steps are taken one at a time.
-Windows change which states share a log_prob call, nothing else:
+chain to the state its accepts lead to.  Each tree's XOR masks and node
+uniforms are laid out ahead, for a block of steps at a time, so a tree
+window costs one XOR, one log_prob call, one comparison and the lookup; its
+accept flags are decoded once, after the last window.  A tree advances D
+steps per call whatever the acceptance.  D is the deepest depth up to 4
+with chains * (2^D - 1) <= 128 states (4 at the default 8 chains, 1 from 43
+chains on); a complex-flavor RBM keeps D = 1, since complex exp and log make
+its extra states cost more than the calls they save.  At D = 1, and for the
+last steps of a call when fewer than D remain, steps are taken one at a
+time.  Windows change which states share a log_prob call, nothing else:
 the proposals, uniforms and comparisons are those of one proposal per step,
 so the samples, acceptances and chain states are exactly those of
-one-proposal-at-a-time Metropolis, provided log_prob gives a state the same
-value whatever else is in the call.  DenseState always does; an Rbm does
-when its batches fill whole BLAS blocks (OpenBLAS rounds the tail rows of a
-batch whose length is not a multiple of 4 differently; a batch longer than
-the Rbm's 1024-row evaluation block is evaluated block by block, so only
-the last block's tail rounds this way), which holds for any chain count
-that is a multiple of 4, such as the default 8.
+one-proposal-at-a-time Metropolis, as log_prob gives a state the same value
+whatever else is in the call.  DenseState and Rbm both do, at any chain
+count.
 
 Where the basis is no larger than an epoch's proposals, training passes a
 _BasisTable of log psi over the whole basis in place of the model (see
@@ -71,6 +70,10 @@ from .states import dense_vector
 _MAX_WINDOW = 32  # most proposals a path window scores per chain
 _TREE_STATES = 128  # most states a tree window scores over all chains
 _MAX_DEPTH = 4
+# Steps per block of tree offsets and node uniforms made ahead of the tree
+# windows: at most 16 * _TREE_STATES + 8 * chains bytes a step, and chains
+# <= 42 wherever trees are deeper than one step, so a block stays under 1 MB
+_TREE_BLOCK = 256
 
 # Node i >= 1 of a proposal tree is the proposal of step depth(i) (the
 # index of its top bit) from the state reached by accept pattern
@@ -97,7 +100,6 @@ def _walk_table():
 
 
 _WALK = _walk_table()
-_PATTERN_BITS = (np.arange(1 << _MAX_DEPTH)[:, None] >> np.arange(_MAX_DEPTH)) & 1 == 1
 
 
 def seed_seq(seed, *key):
@@ -285,6 +287,7 @@ def _walk_chains(log_probs, xs, lp, flips, log_u, burn_in, thin, counts):
     return indices, xs, lp, accepted
 
 
+@np.errstate(invalid="ignore")  # -inf - -inf past a zero of psi
 def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
                  hits):
     """All chains in lockstep, their steps scored in path or tree windows.
@@ -313,9 +316,13 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
     tree = np.empty((nodes + 1, chains), dtype=np.int64)
     tree_lp = np.empty((nodes + 1, chains))
     tree_flat, tree_lp_flat = tree.reshape(-1), tree_lp.reshape(-1)
-    node_step, node_parent, node_bit = _DEPTH[:nodes], _PARENT[:nodes], _NODE_BIT[:nodes]
-    row_start = np.arange(nodes + 1) * chains
+    node_states, node_lp, node_lp_flat = tree_flat[chains:], tree_lp[1:], tree_lp_flat[chains:]
+    diff = np.empty((nodes, chains))
+    node_parent, node_bit = _PARENT[:nodes], _NODE_BIT[:nodes]
+    walk = _WALK[:1 << nodes] * np.intp(chains)  # + chain: flat index a walk ends at
     cols = np.arange(chains)
+    block_t, block_size = 0, 0
+    tree_steps, tree_patterns = [], []
     # Running share of steps at which every chain accepted, as hits / seen.
     seen = 1.0
     t = 0
@@ -328,16 +335,21 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
             # Score every state the next `depth` steps can propose in one
             # call.  Row p of tree is the state after those steps under
             # accept pattern p; for p >= 1 it is also node p's proposal.
-            tree[0], tree_lp[0] = xs, lp
-            for j in range(depth):
-                np.bitwise_xor(tree[:1 << j], flips[t + j], out=tree[1 << j:2 << j])
-            tree_lp[1:] = np.reshape(psi.log_prob(tree[1:].ravel()), (nodes, chains))
-            with np.errstate(invalid="ignore"):  # -inf - -inf past a zero of psi
-                acc = log_u[t:t + depth][node_step] < tree_lp[1:] - tree_lp[node_parent]
-            pattern = _WALK[node_bit @ acc]
-            flat = row_start[pattern] + cols
+            i = t - block_t
+            if i >= block_size:
+                block_t, i = t, 0
+                offsets, node_log_u = _tree_block(flips, log_u, t, depth)
+                block_size = offsets.shape[1]
+            np.bitwise_xor(offsets[:, i], xs, out=tree)
+            tree_lp[0] = lp
+            node_lp_flat[:] = psi.log_prob(node_states)
+            np.subtract(node_lp, tree_lp[node_parent], out=diff)
+            code = node_bit @ (node_log_u[:, i] < diff)
+            flat = walk[code] + cols
             xs, lp = tree_flat[flat], tree_lp_flat[flat]
-            accepts[t:t + depth] = _PATTERN_BITS[pattern, :depth].T
+            pattern = _WALK[code]
+            tree_steps.append(t)
+            tree_patterns.append(pattern)
             hits += int(np.bitwise_and.reduce(pattern)).bit_count()
             seen += depth
             t += depth
@@ -361,8 +373,7 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
         path[1:width + 1] ^= xs
         path_lp[1:width + 1] = np.reshape(
             psi.log_prob(path[1:width + 1].ravel()), (width, chains))
-        with np.errstate(invalid="ignore"):  # -inf - -inf past a zero of psi
-            acc = log_u[t:t + width] < path_lp[1:width + 1] - path_lp[:width]
+        acc = log_u[t:t + width] < path_lp[1:width + 1] - path_lp[:width]
         every = acc.all(axis=1)
         # The path holds up to and including the first step at which some
         # chain rejected; the rest of the window is discarded.
@@ -376,11 +387,36 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
         seen += r + 1
         t += r + 1
 
+    if tree_steps:  # bit j of a tree's accept pattern is its step j's accept flags
+        rows, patterns = np.array(tree_steps), np.array(tree_patterns)
+        for j in range(depth):
+            accepts[rows + j] = (patterns >> j) & 1
     moves = np.where(accepts, flips, 0)
     visited = x0 ^ np.bitwise_xor.accumulate(moves, axis=0)  # state after each step
     recorded = visited[burn_in + thin - 1::thin]
     indices = np.concatenate([recorded[:count, c] for c, count in enumerate(counts)])
     return indices, xs, lp, np.count_nonzero(moves, axis=0)
+
+
+def _tree_block(flips, log_u, t, depth):
+    """What the tree windows starting at steps t, t+1, ... read, for up to
+    _TREE_BLOCK steps, node-major: (offsets, node_log_u).
+
+    offsets[:, i] is the tree of step t + i as XOR masks of the start state,
+    row 0 (no flip) included; node_log_u[p - 1, i] is node p's log uniform,
+    that of step t + i + depth(p).
+    """
+    steps, chains = flips.shape
+    size = min(_TREE_BLOCK, steps - depth + 1 - t)
+    nodes = (1 << depth) - 1
+    offsets = np.zeros((nodes + 1, size, chains), dtype=np.int64)
+    for j in range(depth):
+        np.bitwise_xor(offsets[:1 << j], flips[t + j:t + j + size],
+                       out=offsets[1 << j:2 << j])
+    node_log_u = np.empty((nodes, size, chains))
+    for row, step in zip(node_log_u, _DEPTH[:nodes] + t):
+        row[:] = log_u[step:step + size]
+    return offsets, node_log_u
 
 
 def acceptance_stats(chain_states):

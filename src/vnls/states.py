@@ -19,9 +19,10 @@ from .operators import DENSE_LIMIT
 
 DEFAULT_ALPHA = 2.0
 DEFAULT_SIGMA = {"real": 0.01, "complex": 0.05}
-# Rows per Rbm evaluation block: a multiple of 4, so that OpenBLAS rounds
-# every row of a full block the same way
+# Rows per Rbm evaluation block, so that its temporaries stay cache-sized
 _BLOCK = 1024
+# Row v holds the spins 1 - 2 * bit j of v, for bits j = 0..7 of a byte
+_BYTE_SPINS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
 
 
 def spins(x, n):
@@ -36,13 +37,22 @@ def spins(x, n):
 
 
 def log2cosh(z):
-    """log(2 cosh z) without overflow for large |Re z|."""
+    """log(2 cosh z) without overflow for large |Re z|: zp + log(1 + e^(-2 zp))
+    for zp = z or -z, whichever has Re zp >= 0, in one work array."""
     z = np.asarray(z)
-    if np.iscomplexobj(z):
-        zp = np.where(z.real < 0.0, -z, z)  # cosh is even
-        return zp + np.log(1.0 + np.exp(-2.0 * zp))
-    zp = np.abs(z)
-    return zp + np.log1p(np.exp(-2.0 * zp))
+    if z.ndim == 0:
+        return log2cosh(z[None])[0]
+    is_complex = np.iscomplexobj(z)
+    zp = np.where(z.real < 0.0, -z, z) if is_complex else np.abs(z)  # cosh is even
+    t = np.multiply(zp, -2.0)
+    np.exp(t, out=t)
+    if is_complex:
+        t += 1.0
+        np.log(t, out=t)
+    else:
+        np.log1p(t, out=t)
+    t += zp
+    return t
 
 
 class Wavefunction:
@@ -87,6 +97,17 @@ class Rbm(Wavefunction):
     which makes all amplitudes strictly positive; flavor 'complex' treats
     log psi as holomorphic in the parameters, so gradients are plain
     complex derivatives.
+
+    log_amp and log_prob read a . s and the hidden angles c + W s from
+    per-byte tables of the visible layer: byte k of a basis index (bits
+    8k..8k+7, qubits n-1-8k down to n-8-8k) selects one row of a table that
+    holds, for each of its up to 256 values, a . s and W s over those eight
+    spins, with c folded into the first table.  A state then costs one
+    shift and mask and one row gather per byte, plus adds, and its value
+    does not depend on the other states in the call.  The tables are built
+    on the first evaluation after __init__ or set_params.  a, c and w are
+    read-only arrays, so the tables cannot go stale; set_params is the only
+    way to change them.
     """
 
     def __init__(self, a, c, w, flavor="real", seed=None):
@@ -104,14 +125,41 @@ class Rbm(Wavefunction):
         for arr in (a, c, w):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("parameters must be finite")
-        self.a = a.copy()
-        self.c = c.copy()
-        self.w = w.copy()
         self.flavor = flavor
         self.n = n
         self.m = m
         self.seed = seed
         self._shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        self._set(a.copy(), c.copy(), w.copy())
+
+    a = property(lambda self: self._a, doc="visible biases, read-only")
+    c = property(lambda self: self._c, doc="hidden biases, read-only")
+    w = property(lambda self: self._w, doc="(hidden, visible) weights, read-only")
+
+    def _set(self, a, c, w):
+        """Take a, c, w as the parameters (arrays the caller gives up)."""
+        for arr in (a, c, w):
+            arr.flags.writeable = False
+        self._a, self._c, self._w = a, c, w
+        self._tables = None
+
+    def _byte_tables(self):
+        """[(shift, mask, table)] per byte of a basis index.
+
+        Row v of a byte's table is [a . s, W s] over that byte's spins when
+        its bits read v; the first table adds c to W s.
+        """
+        n = self.n
+        # row j: [a, W] at bit j of the index, which is qubit n-1-j
+        bits = np.concatenate([self.a[None, :], self.w])[:, ::-1].T.copy()
+        tables = []
+        for shift in range(0, n, 8):
+            width = min(8, n - shift)
+            tables.append((shift, (1 << width) - 1,
+                           _BYTE_SPINS[:1 << width, :width] @ bits[shift:shift + width]))
+        first = tables[0][2]
+        first += np.concatenate([np.zeros(1, first.dtype), self.c])
+        return tables
 
     @property
     def param_count(self):
@@ -129,16 +177,19 @@ class Rbm(Wavefunction):
 
         A batch longer than _BLOCK rows is evaluated _BLOCK rows at a time,
         so that its temporaries stay cache-sized and are reused from the
-        heap rather than mapped afresh per call; each state's value is
-        then bit for bit that of a call on its block alone.  Shorter
-        batches, such as the sampler's calls at the default 8 chains (at
-        most 256 states), take a single pass.
+        heap rather than mapped afresh per call.  Every step is elementwise
+        per state, so a state's value is bit for bit the same in any batch.
         """
         if xs.size > _BLOCK:
             return np.concatenate([self._log_psi(xs[i:i + _BLOCK])
                                    for i in range(0, xs.size, _BLOCK)])
-        s = self._spins(xs)
-        return s @ self.a + log2cosh(self._z(s)).sum(axis=1)
+        if self._tables is None:
+            self._tables = self._byte_tables()
+        (_, mask, table), *rest = self._tables
+        acc = table.take(xs & mask, axis=0)
+        for shift, mask, table in rest:
+            acc += table.take((xs >> shift) & mask, axis=0)
+        return acc[:, 0] + log2cosh(acc[:, 1:]).sum(axis=1)
 
     def log_amp(self, x):
         xs = np.asarray(x, dtype=np.int64)
@@ -190,9 +241,8 @@ class Rbm(Wavefunction):
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters must be finite")
         n, m = self.n, self.m
-        self.a = theta[:n].copy()
-        self.c = theta[n:n + m].copy()
-        self.w = theta[n + m:].reshape(m, n).copy()
+        self._set(theta[:n].copy(), theta[n:n + m].copy(),
+                  theta[n + m:].reshape(m, n).copy())
 
 
 def check_init_options(alpha, sigma, flavor):
@@ -218,14 +268,14 @@ def init_gaussian(n, alpha=DEFAULT_ALPHA, sigma=None, seed=0, flavor="real"):
 
     Complex flavor draws real and imaginary parts independently.  sigma
     defaults per flavor (0.01 real, 0.05 complex); check_init_options
-    states the rules on alpha, sigma and flavor.
+    states the rules on alpha, sigma and flavor.  An alpha whose hidden
+    layer cannot be allocated raises ValueError.
     """
     check_init_options(alpha, sigma, flavor)
     if n < 1:
         raise ValueError("need at least one qubit")
     if sigma is None:
         sigma = DEFAULT_SIGMA[flavor]
-    m = math.ceil(alpha * n)
     rng = np.random.default_rng(seed)
 
     def draw(*shape):
@@ -233,7 +283,13 @@ def init_gaussian(n, alpha=DEFAULT_ALPHA, sigma=None, seed=0, flavor="real"):
             return rng.normal(0.0, sigma, shape) + 1j * rng.normal(0.0, sigma, shape)
         return rng.normal(0.0, sigma, shape)
 
-    return Rbm(draw(n), draw(m), draw(m, n), flavor=flavor, seed=seed)
+    try:
+        m = math.ceil(alpha * n)
+        return Rbm(draw(n), draw(m), draw(m, n), flavor=flavor, seed=seed)
+    except (OverflowError, MemoryError):
+        raise ValueError(
+            f"alpha={alpha!r} asks for ceil(alpha*n) hidden units ({alpha * n:.6g} "
+            f"at n={n}), more than can be allocated") from None
 
 
 class DenseState(Wavefunction):

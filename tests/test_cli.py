@@ -188,6 +188,14 @@ def test_config_errors_exit_2(argv):
     assert run(argv) == 2
 
 
+def test_unallocatable_alpha_exits_2_with_one_line(tmp_path, capsys):
+    code, _, err = run(["solve", "--ising", 4, 10, "--alpha", "1e12",
+                        "-o", tmp_path / "never.csv"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert "ceil(alpha*n)" in err
+
+
 def test_solve_beyond_rhs_capability_exits_3():
     assert run(["solve", "--ising", 30, 10, "-o", "/tmp/never.csv"]) == 3
 

@@ -281,28 +281,6 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     return batch, states
 
 
-class RowWise:
-    """psi with log_prob taken one state at a time.
-
-    BLAS may round a state's value differently by its row in a batch (the
-    tail rows of a batch whose length is not a multiple of the kernel's
-    block), so a window holding chains * width states need not reproduce
-    the last bit of a call on ``chains`` states.  Evaluating every state
-    alone makes the value independent of the batch.
-    """
-
-    def __init__(self, psi):
-        self.psi = psi
-
-    def log_prob(self, x):
-        if np.ndim(x) == 0:
-            return self.psi.log_prob(x)
-        return np.array([self.psi.log_prob(int(v)) for v in x], dtype=np.float64)
-
-    def log_amp(self, x):
-        return self.psi.log_amp(x)
-
-
 def _zeros_state():
     amps = np.ones(16)
     amps[[1, 5, 6, 12]] = 0.0
@@ -330,8 +308,8 @@ MODELS = {
     "table-complex-1": lambda: (_BasisTable(_rbm("complex", 1.0)), 6),
 }
 
-# chain counts that are multiples of 4 keep every window's batch in whole
-# BLAS blocks; the others run through RowWise for the RBMs
+# an RBM gives each state the same value in any batch, so every chain
+# count reproduces one-proposal Metropolis on the model itself
 ARGS = [
     dict(k=1024, chains=8),
     dict(k=1003, chains=8),
@@ -355,8 +333,6 @@ def assert_same_run(got, want):
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_windows_reproduce_one_proposal_per_step(model, args):
     psi, n = MODELS[model]()
-    if args["chains"] % 4 and not isinstance(psi, (DenseState, _BasisTable)):
-        psi = RowWise(psi)
     fresh = metropolis_sample(psi, n, seed=(21, 0), **args)
     assert_same_run(fresh, reference_metropolis(psi, n, seed=(21, 0), **args))
     start = fresh[1]

@@ -130,6 +130,60 @@ def test_long_batches_equal_separate_block_calls_bitwise(size, flavor):
         np.concatenate([psi.log_prob(x[i:i + block]) for i in starts]))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_byte_tables_match_brute_force(n, flavor):
+    # one byte, a partial byte, exactly one, one and a bit, two, two and a bit
+    psi = init_gaussian(n, alpha=1.5, sigma=0.3, seed=n, flavor=flavor)
+    x = np.concatenate([[0, (1 << n) - 1],
+                        np.random.default_rng(n).integers(0, 1 << n, size=40)])
+    got = psi.log_amp(x)
+    want = np.array([brute_log_amp(psi, int(v)) for v in x], dtype=complex)
+    tol = 1e-12 * (1.0 + np.abs(want))
+    assert np.all(np.abs(got.real - want.real) <= tol)
+    # each log 2cosh may sit on another branch of the complex log
+    turns = (got.imag - want.imag) / (2 * np.pi)
+    assert np.all(np.abs(turns - np.round(turns)) * 2 * np.pi <= tol)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16, 17])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_log_prob_independent_of_batch_bitwise(n, flavor):
+    for seed, sigma in enumerate((0.01, 0.3, 2.0)):
+        psi = init_gaussian(n, sigma=sigma, seed=seed, flavor=flavor)
+        x = np.random.default_rng(seed).integers(0, 1 << n, size=1025)
+        alone = np.array([psi.log_prob(int(v)) for v in x])
+        for size in (1, 2, 3, 5, 7, 120, 1025):
+            assert np.array_equal(psi.log_prob(x[:size]), alone[:size])
+            assert np.array_equal(psi.log_prob(x[-size:]), alone[-size:])
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_set_params_values_equal_fresh_model_bitwise(flavor):
+    psi = init_gaussian(11, sigma=0.2, seed=1, flavor=flavor)
+    x = np.arange(1 << 11)
+    before = psi.log_amp(x)  # builds the tables for the first parameters
+    theta = init_gaussian(11, sigma=0.5, seed=2, flavor=flavor).get_params()
+    psi.set_params(theta)
+    n, m = psi.n, psi.m
+    fresh = Rbm(theta[:n], theta[n:n + m], theta[n + m:].reshape(m, n), flavor=flavor)
+    assert np.array_equal(psi.log_amp(x), fresh.log_amp(x))
+    assert not np.array_equal(psi.log_amp(x), before)
+
+
+def test_parameters_are_read_only():
+    psi = init_gaussian(5, seed=0)
+    for name in ("a", "c", "w"):
+        arr = getattr(psi, name)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0  # in place
+        with pytest.raises(AttributeError):
+            setattr(psi, name, np.zeros_like(arr))
+    theta = psi.get_params()
+    theta[0] = 1.0  # get_params hands out a copy
+    assert psi.a[0] != 1.0
+
+
 @pytest.mark.parametrize("n", [4, 10, 16])
 @pytest.mark.parametrize("flavor", ["real", "complex"])
 def test_log_grad_equals_concatenated_formula_bitwise(n, flavor):
@@ -188,6 +242,9 @@ def test_init_gaussian_validation():
     psi = init_gaussian(5, alpha=2.0)
     assert psi.m == 10  # ceil(alpha * n)
     assert init_gaussian(3, alpha=0.4).m == 2
+    for alpha in (1e12, 1e308):  # a hidden layer no machine can hold
+        with pytest.raises(ValueError, match=r"ceil\(alpha\*n\)"):
+            init_gaussian(4, alpha=alpha)
 
 
 def test_small_sigma_init_is_near_uniform():
