@@ -25,7 +25,6 @@ from .errors import CapabilityError, ParseError
 from .operators import (
     PauliSum,
     PauliTerm,
-    apply_squared_row,
     apply_sum_row,
     apply_term_row,
     apply_to_state,
@@ -34,6 +33,7 @@ from .operators import (
     parse_pauli_sum,
     save_operator,
     to_dense,
+    to_sparse,
 )
 from .oracle import (
     OracleReport,
@@ -46,7 +46,6 @@ from .oracle import (
     ising_identities,
     operator_norm_and_condition,
     rayleigh_quotient,
-    to_sparse,
     trace_distance,
 )
 from .problems import (
@@ -86,13 +85,12 @@ __all__ = [
     "estimate_variance", "local_energy_h", "sr_step",
     "train_vnls", "train_vqmc", "vnls_local_energies",
     "CapabilityError", "ParseError",
-    "PauliSum", "PauliTerm", "apply_squared_row", "apply_sum_row",
-    "apply_term_row", "apply_to_state", "identity_sum",
-    "load_operator", "parse_pauli_sum", "save_operator", "to_dense",
+    "PauliSum", "PauliTerm", "apply_sum_row", "apply_term_row",
+    "apply_to_state", "identity_sum", "load_operator", "parse_pauli_sum",
+    "save_operator", "to_dense", "to_sparse",
     "OracleReport", "check_error_bound", "exact_loss", "exact_solve",
     "extremal_eigs", "fidelity", "ground_state", "ising_identities",
-    "operator_norm_and_condition", "rayleigh_quotient", "to_sparse",
-    "trace_distance",
+    "operator_norm_and_condition", "rayleigh_quotient", "trace_distance",
     "LinearProblem", "ising_perturbation_scale", "ising_problem",
     "load_problem", "random_pauli_problem", "save_problem",
     "ChainState", "SampleBatch", "acceptance_stats", "metropolis_sample",

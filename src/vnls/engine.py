@@ -27,7 +27,7 @@ the whole basis once per parameter set, in one log_amp call, and hands that
 table to the sampler, the energy functions and the fidelity check in place
 of the model.  The chains walk the table one by one (see sampling), and
 the energies come from whole-basis products with the operator's CSR
-matrix (oracle.to_sparse, laid out from the same compiled rows and built
+matrix (operators.to_sparse, laid out from the same compiled rows and built
 once per training run): psi divided by its largest magnitude over the
 basis, then A psi and A^2 psi = A (A psi) for the solver, or H psi,
 gathered at the pi samples, with Ehat still the mean over the beta
@@ -56,7 +56,8 @@ from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute only because
 # perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
 # retires that replay
-from .operators import DENSE_LIMIT, apply_to_state, expand_rows  # noqa: F401
+from .operators import (DENSE_LIMIT, apply_to_state, expand_rows,  # noqa: F401
+                        to_sparse)
 from .sampling import (_BasisTable, _beta_cdf, _draw_beta, acceptance_stats,
                        default_thin, metropolis_sample)
 from .states import DenseState, _is_number, dense_vector
@@ -536,7 +537,7 @@ def train_vqmc(h, psi, config):
         if not isinstance(source, _BasisTable):
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
         if matrix is None:
-            matrix = oracle.to_sparse(h, config.dense_limit)
+            matrix = to_sparse(h, config.dense_limit)
         return _table_energy_h(h, matrix, source, batch.indices)
 
     return _train(psi, config, energy, target)
@@ -570,7 +571,7 @@ def train_vnls(a, b, psi, config):
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
         if matrix is None:
-            matrix = oracle.to_sparse(a, config.dense_limit)
+            matrix = to_sparse(a, config.dense_limit)
             ab = matrix @ b.amplitudes
         return _table_vnls_energies(a, matrix, ab, b, source, batch.indices, beta)
 

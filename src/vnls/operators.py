@@ -14,9 +14,13 @@ the pairwise products of A's strings, so (A^2 psi)(x) reads one amplitude
 per distinct column of row x of A^2: at most T(T+1)/2 for a T-term sum,
 and far fewer when strings share flip masks.
 
+Whole-basis matrices are laid out from the same compiled rows: to_sparse
+as CSR, the matrix training and the exact oracle multiply by, and to_dense
+as that CSR made dense.
+
 Bit convention, fixed across the package: qubit 0 is the most significant
-bit of a basis index, matching the Kronecker order factor_0 (x) factor_1
-(x) ... (x) factor_{n-1} used by to_dense.
+bit of a basis index, so a term's matrix is the tensor product factor_0
+(x) factor_1 (x) ... (x) factor_{n-1} in that order.
 """
 
 from __future__ import annotations
@@ -24,15 +28,9 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import CapabilityError, ParseError
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 # Largest qubit count for anything that enumerates the 2^n basis: dense
 # vectors, to_sparse, the exact oracle and the CLI's --dense-limit default.
@@ -257,61 +255,43 @@ def apply_sum_row(h, x):
     return [(c, v) for c, v in merged.items() if abs(v) >= MERGE_TOL]
 
 
-def _amp_oracle(psi):
-    # anything exposing .amp(indices), else a bare callable on indices
-    return psi.amp if hasattr(psi, "amp") else psi
-
-
-def _apply_form(form, psi, x):
-    amp = _amp_oracle(psi)
-    xs = np.asarray(x, dtype=np.int64)
-    cols, vals = form.rows(xs)
-    amps = np.asarray(amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)
-    out = (vals * amps).sum(axis=1)
-    return complex(out[0]) if xs.ndim == 0 else out
-
-
 def apply_to_state(h, psi, x):
     """(H psi)(x): grouped row values of H times the amplitudes at their
     columns, one amplitude read per distinct column.
 
-    psi is an amplitude oracle (a Wavefunction or a callable on index
-    arrays).  Vectorizes over an array of rows.
+    psi is a Wavefunction; its amp is read at the columns.  Vectorizes
+    over an array of rows.
     """
-    return _apply_form(h.row_form(), psi, x)
+    xs = np.asarray(x, dtype=np.int64)
+    cols, vals = h.row_form().rows(xs)
+    amps = np.asarray(psi.amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)
+    out = (vals * amps).sum(axis=1)
+    return complex(out[0]) if xs.ndim == 0 else out
 
 
-def apply_squared_row(a, psi, x):
-    """(A^2 psi)(x) for Hermitian a, from the rows of its compiled square.
+def to_sparse(h, limit=DENSE_LIMIT):
+    """CSR matrix of h from its compiled rows; refuses n beyond ``limit``.
 
-    Costs one amplitude read per distinct flip mask f_i ^ f_j of the
-    square's strings.
+    Row x holds h.row_form().rows(x): one entry per flip group, in group
+    order, so every row has the same number of entries.  An entry whose
+    strings cancel on that row is kept as an explicit zero.
     """
-    if not a.is_hermitian:
-        raise ValueError("A must be Hermitian (real coefficients)")
-    return _apply_form(a.square_form(), psi, x)
-
-
-def term_to_dense(t, limit=DENSE_MATRIX_LIMIT):
-    """Dense 2^n x 2^n matrix of a single term; refuses n beyond ``limit``."""
-    if t.n > limit:
-        raise CapabilityError(f"dense materialization limited to n <= {limit}")
-    m = np.array([[t.coefficient]], dtype=complex)
-    for q in range(t.n):
-        m = np.kron(m, PAULI_MATRICES[t.factors.get(q, "I")])
-    return m
+    if h.n > limit:
+        raise CapabilityError(
+            f"whole-basis matrices limited to n <= {limit}, got n={h.n}")
+    dim = 1 << h.n
+    cols, vals = h.row_form().rows(np.arange(dim, dtype=np.int64))
+    return sp.csr_matrix((vals.ravel(), cols.ravel(),
+                          np.arange(dim + 1) * cols.shape[1]), shape=(dim, dim))
 
 
 def to_dense(h, limit=DENSE_MATRIX_LIMIT):
-    """Dense matrix of a sum; refuses n beyond ``limit``."""
+    """Dense matrix of a sum, to_sparse(h) made dense; refuses n beyond
+    ``limit``."""
     if h.n > limit:
         raise CapabilityError(
-            f"dense materialization limited to n <= {limit}, got n={h.n}")
-    dim = 1 << h.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for t in h.terms:
-        out += term_to_dense(t, limit)
-    return out
+            f"dense matrices limited to n <= {limit}, got n={h.n}")
+    return to_sparse(h, limit).toarray()
 
 
 def _parse_float(token):

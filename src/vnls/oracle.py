@@ -2,12 +2,13 @@
 
 Everything here enumerates the full 2^n-dimensional space, so it exists to
 check the stochastic machinery, not to compete with it.  Matrices are kept
-sparse: to_sparse lays out the compiled RowForm rows of a Pauli sum at
-every basis state as CSR, the same matrix training multiplies by.  Full
-dense matrices are only formed for n <= DENSE_MATRIX_LIMIT, where LAPACK
-is cheaper than Lanczos.  Linear solves use conjugate gradients on that
-CSR, because the X terms make its sparsity graph a hypercube on which
-sparse LU fills in almost completely.
+sparse: operators.to_sparse lays out the compiled RowForm rows of a Pauli
+sum at every basis state as CSR, the same matrix training multiplies by.
+Full dense matrices (operators.to_dense, that CSR made dense) are only
+formed for n <= DENSE_MATRIX_LIMIT, where LAPACK is cheaper than Lanczos.
+Linear solves use conjugate gradients on that CSR, because the X terms
+make its sparsity graph a hypercube on which sparse LU fills in almost
+completely.
 """
 
 from __future__ import annotations
@@ -16,29 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CapabilityError
-from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, PauliSum, apply_term_row,
-                        to_dense)
+from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, apply_term_row, to_dense,
+                        to_sparse)
 from .states import DenseState, Wavefunction, dense_vector
-
-
-def to_sparse(h, limit=DENSE_LIMIT):
-    """CSR matrix of h from its compiled rows; refuses n beyond ``limit``.
-
-    Row x holds h.row_form().rows(x): one entry per flip group, in group
-    order, so every row has the same number of entries.  An entry whose
-    strings cancel on that row is kept as an explicit zero.
-    """
-    if h.n > limit:
-        raise CapabilityError(
-            f"exact oracle limited to n <= {limit}, got n={h.n}")
-    dim = 1 << h.n
-    cols, vals = h.row_form().rows(np.arange(dim, dtype=np.int64))
-    return sp.csr_matrix((vals.ravel(), cols.ravel(),
-                          np.arange(dim + 1) * cols.shape[1]), shape=(dim, dim))
 
 
 def _as_vector(state, limit=DENSE_LIMIT):
@@ -53,26 +36,25 @@ def _as_vector(state, limit=DENSE_LIMIT):
 
 
 def exact_solve(a, b, limit=DENSE_LIMIT):
-    """x = A^{-1} b, with a residual guarantee.
+    """x = A^{-1} b for a PauliSum a, with a residual guarantee.
 
-    A Hermitian PauliSum is solved by conjugate gradients from zero, which
-    needs only products with its CSR matrix.  Sparse LU is reached only for
-    an A that is not a PauliSum (a matrix), a non-Hermitian PauliSum, or a
-    CG miss of the residual bound (breakdown on an indefinite spectrum, or
-    a near-singular A).
+    A Hermitian sum is solved by conjugate gradients from zero, which needs
+    only products with its CSR matrix.  Sparse LU is reached only for a
+    non-Hermitian sum or a CG miss of the residual bound (breakdown on an
+    indefinite spectrum, or a near-singular A).
 
     Raises numpy.linalg.LinAlgError when A is singular or so
     ill-conditioned that the relative residual exceeds 1e-10.
     """
     vec = _as_vector(b, limit)
-    mat = to_sparse(a, limit) if isinstance(a, PauliSum) else sp.csc_matrix(a)
+    mat = to_sparse(a, limit)
     tol = 1e-10 * max(np.linalg.norm(vec), 1e-300)
 
     def trustworthy(x):
         return bool(np.all(np.isfinite(x))
                     and np.linalg.norm(mat @ x - vec) <= tol)
 
-    if isinstance(a, PauliSum) and a.is_hermitian:
+    if a.is_hermitian:
         # exact-arithmetic CG ends within dim steps; a breakdown divides by
         # zero inside cg and leaves non-finite x for the residual check
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -106,7 +88,7 @@ def trace_distance(u, v):
 
 
 def exact_loss(a, b, psi, limit=DENSE_LIMIT):
-    """Solver objective <psi|A Pb A|psi> / <psi|psi>, matrix-free.
+    """Solver objective <psi|A Pb A|psi> / <psi|psi> for a PauliSum a.
 
     Pb projects out the b direction, so with w = A psi the value is
     (<w|w> - |<b|w>|^2 / <b|b>) / <psi|psi>, clamped at zero against
@@ -114,8 +96,7 @@ def exact_loss(a, b, psi, limit=DENSE_LIMIT):
     """
     vec_b = _as_vector(b, limit)
     vec_psi = _as_vector(psi, limit)
-    mat = to_sparse(a, limit) if isinstance(a, PauliSum) else a
-    w = mat @ vec_psi
+    w = to_sparse(a, limit) @ vec_psi
     num = np.vdot(w, w).real - abs(np.vdot(vec_b, w)) ** 2 / np.vdot(vec_b, vec_b).real
     return float(max(0.0, num / np.vdot(vec_psi, vec_psi).real))
 
@@ -147,12 +128,15 @@ def extremal_eigs(a, limit=DENSE_LIMIT):
 
 
 def operator_norm_and_condition(a, limit=DENSE_LIMIT):
-    """(||A||_2, kappa(A)) for Hermitian A.
+    """(||A||_2, kappa(A)) for Hermitian A; a non-Hermitian A raises
+    ValueError at every n.
 
     Singular values of a Hermitian matrix are |eigenvalues|; for an
     indefinite spectrum the smallest one is interior, found by
     shift-invert.  A numerically singular A gets kappa = inf.
     """
+    if not a.is_hermitian:
+        raise ValueError("norm and condition number need a Hermitian operator")
     if a.n <= DENSE_MATRIX_LIMIT:
         vals = np.abs(np.linalg.eigvalsh(to_dense(a)))
         hi, lo = float(vals.max()), float(vals.min())

@@ -29,13 +29,13 @@ steps per call whatever the acceptance.  D is the deepest depth up to 4
 with chains * (2^D - 1) <= 128 states (4 at the default 8 chains, 1 from 43
 chains on); a complex-flavor RBM keeps D = 1, since complex exp and log make
 its extra states cost more than the calls they save.  At D = 1, and for the
-last steps of a call when fewer than D remain, steps are taken one at a
-time.  Windows change which states share a log_prob call, nothing else:
-the proposals, uniforms and comparisons are those of one proposal per step,
-so the samples, acceptances and chain states are exactly those of
-one-proposal-at-a-time Metropolis, as log_prob gives a state the same value
-whatever else is in the call.  DenseState and Rbm both do, at any chain
-count.
+last steps of a call when fewer than D remain, a K of 1 takes a path
+window of one proposal per chain.  Windows change which states share a
+log_prob call, nothing else: the proposals, uniforms and comparisons are
+those of one proposal per step, so the samples, acceptances and chain
+states are exactly those of one-proposal-at-a-time Metropolis, as
+log_prob gives a state the same value whatever else is in the call.
+DenseState and Rbm both do, at any chain count.
 
 Where the basis is no larger than an epoch's proposals, training passes a
 _BasisTable of log psi over the whole basis in place of the model (see
@@ -353,18 +353,6 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
             hits += int(np.bitwise_and.reduce(pattern)).bit_count()
             seen += depth
             t += depth
-            continue
-        if width == 1:
-            proposals = xs ^ flips[t]
-            prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
-            accept = log_u[t] < prop_lp - lp
-            xs = np.where(accept, proposals, xs)
-            lp = np.where(accept, prop_lp, lp)
-            accepts[t] = accept
-            if accept.all():
-                hits += 1
-            seen += 1
-            t += 1
             continue
         # Score the next `width` proposals along the all-accept path in one
         # call; row j + 1 of path is the state after steps t..t+j.

@@ -129,7 +129,6 @@ class Rbm(Wavefunction):
         self.n = n
         self.m = m
         self.seed = seed
-        self._shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
         self._set(a.copy(), c.copy(), w.copy())
 
     a = property(lambda self: self._a, doc="visible biases, read-only")
@@ -164,13 +163,6 @@ class Rbm(Wavefunction):
     @property
     def param_count(self):
         return self.n + self.m + self.m * self.n
-
-    def _spins(self, xs):
-        """spins(xs, self.n), with the shifts made once."""
-        return 1.0 - 2.0 * ((xs[..., None] >> self._shifts) & 1)
-
-    def _z(self, s):
-        return self.c + s @ self.w.T
 
     def _log_psi(self, xs):
         """log psi over a 1-d index array, in the flavor's dtype.
@@ -212,8 +204,8 @@ class Rbm(Wavefunction):
         holomorphic complex one.
         """
         xs = np.asarray(x, dtype=np.int64)
-        s = self._spins(np.atleast_1d(xs))
-        t = np.tanh(self._z(s))
+        s = spins(np.atleast_1d(xs), self.n)
+        t = np.tanh(self.c + s @ self.w.T)
         n, m = self.n, self.m
         out = np.empty((s.shape[0], self.param_count), dtype=t.dtype)
         out[:, :n] = s

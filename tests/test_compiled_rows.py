@@ -8,7 +8,6 @@ from vnls import (
     DenseState,
     PauliSum,
     PauliTerm,
-    apply_squared_row,
     apply_sum_row,
     ising_problem,
     parse_pauli_sum,
@@ -78,8 +77,6 @@ def test_grouped_rows_equal_merged_sum_rows(rng):
 def test_non_hermitian_a_still_rejected():
     a = PauliSum([PauliTerm(0.5, {0: "Z"}, 2), PauliTerm(1j, {1: "X"}, 2)], 2)
     b = DenseState(np.ones(4))
-    with pytest.raises(ValueError):
-        apply_squared_row(a, b, 0)
     with pytest.raises(ValueError):
         vnls_local_energies(a, b, b, np.arange(4), sample_beta(b, 8, seed=0))
 

@@ -23,6 +23,7 @@ from vnls import (
     operator_norm_and_condition,
     random_pauli_problem,
     rayleigh_quotient,
+    to_dense,
     to_sparse,
     trace_distance,
 )
@@ -124,6 +125,9 @@ def test_to_sparse_matches_dense(rng):
         n = int(rng.integers(2, 6))
         h = random_sum(rng, n, 5, hermitian=False)
         assert np.allclose(to_sparse(h).toarray(), kron_sum(h), atol=1e-14)
+        # to_dense is that CSR made dense, entry for entry
+        assert np.array_equal(to_dense(h), to_sparse(h).toarray())
+        assert np.allclose(to_dense(h), kron_sum(h), rtol=0.0, atol=1e-14)
     empty = to_sparse(PauliSum([], 3))
     assert empty.shape == (8, 8) and empty.nnz == 0
     # X0 and X0 Z1 share a column and cancel on the rows with qubit 1 set
@@ -223,6 +227,16 @@ def test_norm_and_condition_frozen_values():
     assert norm == pytest.approx(1.0) and kappa == pytest.approx(1.0)
     norm, kappa = operator_norm_and_condition(diag_sum(1.0, 1.0))
     assert kappa == np.inf
+
+
+def test_norm_and_condition_refuses_non_hermitian():
+    # X0 + 0.5i Y1 + 2 I has singular values giving (3.04, 2.72); an
+    # eigenvalue solver reads one triangle of it and gives (3.5, 7.0)
+    for n in (2, 11):
+        a = PauliSum([PauliTerm(1.0, {0: "X"}, n), PauliTerm(0.5j, {1: "Y"}, n),
+                      PauliTerm(2.0, {}, n)], n)
+        with pytest.raises(ValueError, match="Hermitian"):
+            operator_norm_and_condition(a)
 
 
 def test_norm_and_condition_indefinite_sparse_path():
