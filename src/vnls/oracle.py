@@ -4,8 +4,13 @@ Everything here enumerates the full 2^n-dimensional space, so it exists to
 check the stochastic machinery, not to compete with it.  Matrices are kept
 sparse: operators.to_sparse lays out the compiled RowForm rows of a Pauli
 sum at every basis state as CSR, the same matrix training multiplies by.
-Full dense matrices (operators.to_dense, that CSR made dense) are only
-formed for n <= DENSE_MATRIX_LIMIT, where LAPACK is cheaper than Lanczos.
+Eigenvalues come from LAPACK on that CSR made dense for n <=
+DENSE_MATRIX_LIMIT, and from Lanczos above it.  The dense branch is not
+there for speed (at n = 10 it is the slower one).  It finds the zero
+eigenvalue of a singular A, so kappa reads inf where shift-invert could
+not factor A, and it covers n = 1, where ARPACK cannot take one eigenvalue
+of a 2 x 2 matrix.  Every function here refuses n beyond its ``limit`` on
+either branch.
 Linear solves use conjugate gradients on that CSR, because the X terms
 make its sparsity graph a hypercube on which sparse LU fills in almost
 completely.
@@ -121,7 +126,7 @@ def extremal_eigs(a, limit=DENSE_LIMIT):
     if not a.is_hermitian:
         raise ValueError("eigenvalue bounds need a Hermitian operator")
     if a.n <= DENSE_MATRIX_LIMIT:
-        vals = np.linalg.eigvalsh(to_dense(a))
+        vals = np.linalg.eigvalsh(to_dense(a, limit))
         return float(vals[0]), float(vals[-1])
     mat = to_sparse(a, limit)
     return _lanczos_extreme(mat, "SA"), _lanczos_extreme(mat, "LA")
@@ -138,7 +143,7 @@ def operator_norm_and_condition(a, limit=DENSE_LIMIT):
     if not a.is_hermitian:
         raise ValueError("norm and condition number need a Hermitian operator")
     if a.n <= DENSE_MATRIX_LIMIT:
-        vals = np.abs(np.linalg.eigvalsh(to_dense(a)))
+        vals = np.abs(np.linalg.eigvalsh(to_dense(a, limit)))
         hi, lo = float(vals.max()), float(vals.min())
     else:
         lmin, lmax = extremal_eigs(a, limit)
@@ -160,7 +165,7 @@ def ground_state(h, limit=DENSE_LIMIT):
     if not h.is_hermitian:
         raise ValueError("ground state needs a Hermitian operator")
     if h.n <= DENSE_MATRIX_LIMIT:
-        vals, vecs = np.linalg.eigh(to_dense(h))
+        vals, vecs = np.linalg.eigh(to_dense(h, limit))
         return vecs[:, 0]
     mat = to_sparse(h, limit)
     vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=_start(mat))

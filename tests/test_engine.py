@@ -1,5 +1,7 @@
 """Estimators and training loops against enumeration and finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -521,6 +523,42 @@ def test_train_carries_chain_states_across_epochs(monkeypatch):
     for (_, _, previous), (start, _, states) in zip(calls, calls[1:]):
         assert [s.x for s in start] == [s.x for s in previous]
         assert [s.proposed for s in states] == [3 * 16] * 4  # no second burn-in
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_an_epochs_sr_arrays_are_gone_before_the_next_rows(monkeypatch, flavor):
+    # when epoch k+1 asks for its N x p rows, epoch k's rows and p x p SR
+    # matrix are freed, or are the very buffers that epoch k+1 uses again
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, seed=1, flavor=flavor)
+    real_log_grad, real_sr_solve = type(psi).log_grad, engine._sr_solve
+    last = {}       # weakrefs to the previous epoch's rows and SR matrix
+    carried = {}    # those still alive at the next rows request
+    calls = []
+
+    def log_grad(self, x):
+        carried.update((k, r()) for k, r in last.items() if r() is not None)
+        last.clear()
+        rows = real_log_grad(self, x)
+        if "rows" in carried:
+            assert np.shares_memory(carried.pop("rows"), rows)
+        last["rows"] = weakref.ref(rows)
+        calls.append("log_grad")
+        return rows
+
+    def sr_solve(theta, m, *args):
+        if "matrix" in carried:
+            assert np.shares_memory(carried.pop("matrix"), m)
+        last["matrix"] = weakref.ref(m)
+        calls.append("sr_solve")
+        return real_sr_solve(theta, m, *args)
+
+    monkeypatch.setattr(type(psi), "log_grad", log_grad)
+    monkeypatch.setattr(engine, "_sr_solve", sr_solve)
+    train_vnls(prob.a, prob.b, psi, TrainConfig(epochs=3, batch_size=256,
+                                                learning_rate=0.05, seed=4))
+    assert calls == ["log_grad", "sr_solve"] * 3
+    assert not carried
 
 
 def test_first_epoch_draws_as_a_fresh_sampler(monkeypatch):

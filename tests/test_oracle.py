@@ -142,6 +142,16 @@ def test_to_sparse_respects_limit():
         to_sparse(identity_sum(3), limit=2)
 
 
+@pytest.mark.parametrize("call", [extremal_eigs, operator_norm_and_condition,
+                                  ground_state, rayleigh_quotient])
+def test_spectral_calls_respect_limit_on_the_dense_branch(call):
+    # n = 8 takes the LAPACK branch, which must still refuse n > limit
+    a = ising_problem(8, 10.0).a
+    args = (a, np.ones(1 << 8)) if call is rayleigh_quotient else (a,)
+    with pytest.raises(CapabilityError):
+        call(*args, limit=4)
+
+
 def test_fidelity_scale_and_phase_invariant(rng):
     u = random_state(rng, 32)
     assert fidelity(u, 7.0 * u) == pytest.approx(1.0, abs=1e-12)
