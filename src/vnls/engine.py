@@ -458,28 +458,6 @@ def _check_finite(epoch, name, value, last_loss):
             "parameters")
 
 
-def _sr_update(psi, indices, lc, config, epoch, last_loss):
-    """One SR step from centred local energies lc at the samples ``indices``.
-
-    Returns (theta, g, fallback).  The N x p rows and the p x p system
-    matrix live only in this call, so an epoch's copies are freed before
-    the next epoch allocates its own.
-    """
-    oc = psi.log_grad(indices)
-    oc -= oc.mean(axis=0)  # centred once, in place: the rows are ours
-    g = _gradient(lc, oc)
-    _check_finite(epoch, "gradient", g, last_loss)
-    f = _fisher(oc)
-    del oc  # not alive beside the complex flavor's symmetrized copy
-    # a real Fisher comes from one SYRK product and is exactly symmetric;
-    # the real part of a complex product need not be
-    if np.iscomplexobj(f):
-        f = _symmetrized(f)
-    theta, fallback = _sr_solve(psi.get_params(), f, g, config.learning_rate,
-                                config.shift, config.ridge)
-    return theta, g, fallback
-
-
 def _train(psi, config, energy_fn, target):
     config.validate()
     records = []
@@ -502,8 +480,20 @@ def _train(psi, config, energy_fn, target):
         last_loss = l_hat.real
         lc = l - l_hat
         variance = float(np.mean(np.abs(lc) ** 2))
-        theta, g, fallback = _sr_update(psi, batch.indices, lc, config, epoch,
-                                        last_loss)
+        oc = psi.log_grad(batch.indices)
+        oc -= oc.mean(axis=0)  # centred once, in place: the rows are ours
+        g = _gradient(lc, oc)
+        _check_finite(epoch, "gradient", g, last_loss)
+        f = _fisher(oc)
+        del oc  # the next epoch's rows are not built beside this epoch's
+        # a real Fisher comes from one SYRK product and is exactly symmetric;
+        # the real part of a complex product need not be
+        if np.iscomplexobj(f):
+            f = _symmetrized(f)
+        theta, fallback = _sr_solve(psi.get_params(), f, g,
+                                    config.learning_rate, config.shift,
+                                    config.ridge)
+        del f
         _check_finite(epoch, "updated parameters", theta, last_loss)
         psi.set_params(theta)
         source = None

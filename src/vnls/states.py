@@ -210,13 +210,8 @@ class Rbm(Wavefunction):
         out = np.empty((s.shape[0], self.param_count), dtype=t.dtype)
         out[:, :n] = s
         out[:, n:n + m] = t
-        w_block = out[:, n + m:].reshape(s.shape[0], m, n)
-        if self.flavor == "real":
-            # the broadcast multiply's products in about half its time (but
-            # +0.0 where one is -0.0); einsum is no faster on complex angles
-            np.einsum("ij,ik->ijk", t, s, out=w_block)
-        else:
-            np.multiply(t[:, :, None], s[:, None, :], out=w_block)
+        np.multiply(t[:, :, None], s[:, None, :],
+                    out=out[:, n + m:].reshape(s.shape[0], m, n))
         return out[0] if xs.ndim == 0 else out
 
     def get_params(self):
