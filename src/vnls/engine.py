@@ -21,21 +21,24 @@ other model is read as log psi with one shared magnitude shift, which
 cancels in every ratio the estimators form, so nothing here can overflow
 on its own.
 
-When the basis is no larger than the proposals an epoch makes (n <=
-dense_limit and 2^n <= batch_size * thin), training evaluates log psi over
-the whole basis once per parameter set, in one log_amp call, and hands that
-table to the sampler, the energy functions and the fidelity check in place
-of the model.  The chains walk the table one by one (see sampling), and
-the energies come from whole-basis products with the operator's CSR
-matrix (operators.to_sparse, laid out from the same compiled rows and built
-once per training run): psi divided by its largest magnitude over the
-basis, then A psi and A^2 psi = A (A psi) for the solver, or H psi,
-gathered at the pi samples, with Ehat still the mean over the beta
-samples.  A state's value then no longer depends on which other states
-share a model call, so such runs are bit for bit the same at any chain
-count.  Their samples and acceptances are those of the model path; the
-energies sum in another order, so losses differ from a model-path run in
-the last bits.
+When the basis is small against the proposals an epoch makes (2^n <=
+c * batch_size * thin, with c set by the model's flavor; see _tabulate),
+training evaluates log psi over the whole basis once per parameter set, in
+one log_amp call, and hands that table to the sampler, the energy functions
+and the fidelity check in place of the model.  The chains walk the table one
+by one (see sampling).  Up to n = dense_limit the energies come from
+whole-basis products with the operator's CSR matrix (operators.to_sparse,
+laid out from the same compiled rows and built once per training run): psi
+divided by its largest magnitude over the basis, then A psi and A^2 psi =
+A (A psi) for the solver, or H psi, gathered at the pi samples, with Ehat
+still the mean over the beta samples.  Past dense_limit no whole-basis
+matrix is built, and the row estimators read the table as they would the
+model.  A state's value no longer depends on which other states share a
+model call, so tabulated runs are bit for bit the same at any chain count.
+Their samples and acceptances are those of the model path.  Past
+dense_limit so are their energies, as the RBM gives every state the same
+value in any batch; up to it the whole-basis products sum in another
+order, so losses differ from a model-path run in the last bits.
 """
 
 from __future__ import annotations
@@ -66,14 +69,35 @@ _PI_STREAM = 0
 _BETA_STREAM = 1
 
 
+# Whole-basis table entries worth one Metropolis step on the model, by
+# flavor: training tabulates where 2^n <= c * batch_size * thin.  Median warm
+# epochs of a vqmc chain (8 chains, one BLAS thread, 2 shared cores), table
+# against model, at r = 2^n / (batch_size * thin):
+#   real     r = 3.8: 84-101 / 99-161 ms, r = 5.0: 80-88 / 117 ms,
+#            r = 6.0: 74-102 / 81-100 ms, r = 7.5: 79-92 / 63-74 ms;
+#   complex  r = 1.1: 203-234 / 401-480 ms, r = 2.1: 323-374 / 403-531 ms,
+#            r = 2.8: 150-185 / 162-195 ms, r = 3.0: 298-368 / 302-324 ms,
+#            r = 3.8: 277-356 / 244-313 ms.
+_TABLE_COST = {"real": 6, "complex": 3}
+
+
 def _tabulate(psi, config):
     """The amplitude source for psi's current parameters: its whole-basis
-    table when the basis is no larger than an epoch's proposals, else psi."""
+    _BasisTable where 2^n <= c * batch_size * thin (thin as given, else the
+    sampler's default; c from _TABLE_COST by psi's flavor, 1 for a model
+    without one), else psi itself, as it is for a DenseState.  The table
+    holds 24 * 2^n bytes, at most 24 * c * batch_size * thin."""
     thin = default_thin(psi.n) if config.thin is None else config.thin
-    if (isinstance(psi, DenseState) or psi.n > config.dense_limit
-            or (1 << psi.n) > config.batch_size * thin):
+    cost = _TABLE_COST.get(getattr(psi, "flavor", None), 1)
+    if isinstance(psi, DenseState) or (1 << psi.n) > cost * config.batch_size * thin:
         return psi
     return _BasisTable(psi)
+
+
+# Divided by the largest magnitude it is read with, psi turns subnormal about
+# 708 e-folds below it; rows further below than this are summed on their own
+# scale instead.
+_FAR = 650.0
 
 
 class _AmpTable:
@@ -82,12 +106,13 @@ class _AmpTable:
     Built from a list of index arrays; ``log_amps(k)`` and
     ``scaled_amps(k)`` return the values at the k-th array's indices, in
     its shape.  ``scaled_amps`` is psi divided by its largest touched
-    magnitude, so downstream ratios never overflow.  psi is evaluated once
-    per distinct index, all deduplicated by one np.unique.  A DenseState is
-    read linearly, which keeps exact zeros (their log is -inf and they
-    contribute nothing to any row sum); every other model goes through
-    ``log_amp`` with the shift applied in the exponent.  Training reads a
-    _BasisTable by whole-basis products instead (see _table_energies).
+    magnitude, exp(``shift``), so downstream ratios never overflow.  psi is
+    evaluated once per distinct index, all deduplicated by one np.unique.
+    A DenseState is read linearly, which keeps exact zeros (their log is
+    -inf and they contribute nothing to any row sum); every other model
+    goes through ``log_amp`` with the shift applied in the exponent.
+    Training reads a _BasisTable by whole-basis products instead (see
+    _table_energies).
     """
 
     def __init__(self, psi, index_arrays):
@@ -102,12 +127,13 @@ class _AmpTable:
             self._values = psi.amplitudes[indices]
             top = float(np.abs(self._values).max()) if indices.size else 0.0
             self._unscale = top if top > 0.0 else 1.0
+            self.shift = math.log(self._unscale)
         else:
             self._values = np.asarray(psi.log_amp(indices),
                                       dtype=np.complex128).reshape(-1)
-            self._shift = float(self._values.real.max()) if indices.size else 0.0
+            self.shift = float(self._values.real.max()) if indices.size else 0.0
             with np.errstate(over="ignore"):
-                self._unscale = float(np.exp(self._shift))
+                self._unscale = float(np.exp(self.shift))
 
     @cached_property
     def _log(self):
@@ -120,7 +146,7 @@ class _AmpTable:
     def _scaled(self):
         if self._linear:
             return self._values / self._unscale
-        return np.exp(self._values - self._shift)
+        return np.exp(self._values - self.shift)
 
     def log_amps(self, k):
         return self._log[self._slots[k]]
@@ -138,12 +164,34 @@ class _AmpTable:
         return complex(re, im)
 
 
+def _log_row_sums(vals, log_ratios):
+    """Row sums of vals * exp(log_ratios) where they overflow or lose psi(x).
+
+    Each row is scaled by its own largest real log ratio, so its terms stay
+    finite and none underflows against another row's, and the row's scale
+    is restored to the real and imaginary parts apart: a part the scale
+    overflows becomes +-inf, and an exact zero part stays zero rather than
+    0 * inf = nan.
+    """
+    top = log_ratios.real.max(axis=1)
+    sums = (vals * np.exp(log_ratios - top[:, None])).sum(axis=1)
+    out = np.empty_like(sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(top)
+        out.real = np.where(sums.real != 0.0, sums.real * scale, sums.real)
+        out.imag = np.where(sums.imag != 0.0, sums.imag * scale, sums.imag)
+    return out
+
+
 def local_energy_h(h, psi, x, log_amp_x=None):
     """Local energy l(x) = (H psi)(x) / psi(x) in the log domain.
 
     Each grouped row entry of H contributes value * exp(log_amp(col) -
     log_amp(x)), so any constant rescaling of psi drops out exactly.
-    ``log_amp_x`` may pass cached values of log psi at x.
+    ``log_amp_x`` may pass cached values of log psi at x.  A row whose sum
+    overflows is summed again by _log_row_sums: where the true value
+    exceeds float64 its real part is +-inf, and a real model on a real
+    operator keeps an imaginary part of exactly zero.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
     cols, vals = h.row_form().rows(xs)
@@ -153,7 +201,12 @@ def local_energy_h(h, psi, x, log_amp_x=None):
     else:
         table = _AmpTable(psi, [cols])
         la_x = np.atleast_1d(np.asarray(log_amp_x, dtype=np.complex128))
-    out = (vals * np.exp(table.log_amps(0) - la_x[:, None])).sum(axis=1)
+    log_ratios = table.log_amps(0) - la_x[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (vals * np.exp(log_ratios)).sum(axis=1)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        out[bad] = _log_row_sums(vals[bad], log_ratios[bad])
     return complex(out[0]) if np.asarray(x).ndim == 0 else out
 
 
@@ -168,7 +221,10 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     sharing one magnitude shift, so they are invariant under rescaling
     psi; rescaling b cancels between (A b)(x) and 1/b(x') inside Ehat.
     The returned Ehat carries the true scale of psi and may overflow to
-    inf for states with extreme magnitudes; the energies never do.
+    inf for states with extreme magnitudes.  A row whose psi(x) lies more
+    than _FAR e-folds below the shared shift, or that comes out
+    non-finite, is summed again by _log_row_sums on its own scale, so it
+    keeps its precision, and only a true value beyond float64 is infinite.
     """
     if not a.is_hermitian:
         raise ValueError("A must be Hermitian (real coefficients)")
@@ -181,22 +237,32 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     bcols, bvals = a.row_form().rows(bxs)                # rows of A at beta samples
     table = _AmpTable(psi, [xs, sq_cols, bcols])
 
-    apsi_beta = (bvals * table.scaled_amps(2)).sum(axis=1)
-    ratios = apsi_beta / b.amp(bxs)
-    if beta_weights is None:
-        e_hat = ratios.mean()
-    else:
-        e_hat = np.average(ratios, weights=np.asarray(beta_weights, dtype=np.float64))
+    b_x = b.amp(bxs)
+    weights = None if beta_weights is None else np.asarray(beta_weights, dtype=np.float64)
 
+    def mean_ratio(amps):  # E_beta[(A psi)(x') / b(x')] from psi at bcols
+        return np.average((bvals * amps).sum(axis=1) / b_x, weights=weights)
+
+    e_hat = mean_ratio(table.scaled_amps(2))
     a2_psi = (sq_vals * table.scaled_amps(1)).sum(axis=1)  # (A^2 psi)(x), shifted scale
     ab = np.asarray(apply_to_state(a, b, xs))            # (A b)(x), exact
-    l = (a2_psi - ab * e_hat) / table.scaled_amps(0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        l = (a2_psi - ab * e_hat) / table.scaled_amps(0)
+    la_x = table.log_amps(0)
+    bad = ~np.isfinite(l) | (la_x.real < table.shift - _FAR)
+    if bad.any():
+        # the A^2 row and -(A b)(x) Ehat over psi(x), with Ehat = e_beta *
+        # e^top taken on the beta rows' own scale, which the shared shift
+        # may have underflowed
+        la_beta = table.log_amps(2)
+        top = la_beta.real.max()
+        e_beta = mean_ratio(np.exp(la_beta - top)) if top > -np.inf else 0.0
+        la_x = la_x[bad, None]
+        log_ratios = np.concatenate(
+            [table.log_amps(1)[bad], np.full_like(la_x, top)], axis=1) - la_x
+        vals = np.concatenate([sq_vals[bad], -(ab[bad] * e_beta)[:, None]], axis=1)
+        l[bad] = _log_row_sums(vals, log_ratios)
     return l, table.unscale(e_hat)
-
-
-# Divided by the basis maximum, psi turns subnormal about 708 e-folds below
-# it; rows further below than this take the row path, whose scale is local.
-_FAR = 650.0
 
 
 def _table_energies(table, x, numerator, row_path):
@@ -534,11 +600,11 @@ def train_vqmc(h, psi, config):
                 f"fidelity tracking needs n <= {config.dense_limit}")
         target = oracle.ground_state(h, config.dense_limit)
 
-    matrix = None  # H over the whole basis, built when the first table arrives
+    matrix = None  # H over the whole basis, built with the first table up to dense_limit
 
     def energy(source, batch, epoch):
         nonlocal matrix
-        if not isinstance(source, _BasisTable):
+        if h.n > config.dense_limit or not isinstance(source, _BasisTable):
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
         if matrix is None:
             matrix = to_sparse(h, config.dense_limit)
@@ -564,14 +630,14 @@ def train_vnls(a, b, psi, config):
                 f"fidelity tracking needs n <= {config.dense_limit}")
         target = oracle.exact_solve(a, b, config.dense_limit)
 
-    matrix = ab = None  # A and A b over the whole basis, built with the first table
+    matrix = ab = None  # A and A b over the whole basis, as matrix is in train_vqmc
     beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
     def energy(source, batch, epoch):
         nonlocal matrix, ab
         beta = _draw_beta(b, beta_cdf, config.batch_size,
                           seed=(config.seed, _BETA_STREAM, epoch))
-        if not isinstance(source, _BasisTable):
+        if a.n > config.dense_limit or not isinstance(source, _BasisTable):
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
         if matrix is None:

@@ -37,12 +37,12 @@ states are exactly those of one-proposal-at-a-time Metropolis, as
 log_prob gives a state the same value whatever else is in the call.
 DenseState and Rbm both do, at any chain count.
 
-Where the basis is no larger than an epoch's proposals, training passes a
+Where the basis is small against an epoch's proposals, training passes a
 _BasisTable of log psi over the whole basis in place of the model (see
-vnls.engine).  A read there is a list lookup, far cheaper than the numpy
-calls of a window, so the chains take no windows: each walks its own steps
-in a plain Python loop over the table's log pi, in chain order, with the
-same draws and comparisons.  The samples, acceptances and chain states are
+vnls.engine._tabulate).  A read there is a list lookup, far cheaper than
+the numpy calls of a window, so the chains take no windows: each walks its
+own steps in a plain Python loop over the table's log pi, in chain order,
+with the same draws and comparisons.  The samples, acceptances and chain states are
 again those of one-proposal-at-a-time Metropolis, and as every value comes
 from one whole-basis call, such runs are bit for bit the same for any
 chain count.
@@ -149,12 +149,14 @@ def default_thin(n):
 class _BasisTable:
     """log psi over the whole basis, from one log_amp call.
 
-    Training builds it where the basis is no larger than an epoch's
-    proposals (see vnls.engine) and passes it in place of the model: the
-    sampler walks its chains over ``log_probs`` one by one, and the
-    trainers' local energies take whole-basis products with ``log_amps``.
-    ``log_amp`` and ``log_prob`` gather from the table, for the chains'
-    start states, dense_vector and any caller that reads it as a model.
+    Training builds it where the basis is small against an epoch's
+    proposals (see vnls.engine._tabulate) and passes it in place of the
+    model: the sampler walks its chains over ``log_probs`` one by one, and
+    the trainers' local energies take whole-basis products with
+    ``log_amps`` up to their dense_limit.  ``log_amp`` and ``log_prob``
+    gather from the table, for the chains' start states, dense_vector and
+    the row estimators past dense_limit, which read it as they would the
+    model.  It holds 24 bytes per basis state.
     """
 
     def __init__(self, psi):

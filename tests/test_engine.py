@@ -587,6 +587,51 @@ def test_overflowing_ehat_keeps_zero_imaginary_part():
     assert e_hat.imag == 0.0
 
 
+def test_overflowing_row_energies_are_signed_infinities():
+    # a_i = 400: psi(0) / psi(255) = e^6400.  Every off-diagonal entry of A
+    # is positive and reads a state e^800 above psi(255), so l_H(255) = +inf;
+    # the solver's (A b)(255) Ehat / psi(255), beyond e^4000, outweighs its
+    # A^2 row (e^1600), so l(255) = -inf.  A real model on a real operator
+    # keeps an imaginary part of exactly zero, and the finite row at the
+    # peak keeps the bits it has in a batch of its own.
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, seed=0, flavor="real")
+    theta = psi.get_params()
+    theta[:8] = 400.0
+    psi.set_params(theta)
+    beta = sample_beta(prob.b, 64, seed=1)
+    x = np.array([0, 255], dtype=np.int64)
+    l, _ = vnls_local_energies(prob.a, prob.b, psi, x, beta)
+    lh = local_energy_h(prob.a, psi, x)
+    assert l[1] == complex(-np.inf, 0.0) and lh[1] == complex(np.inf, 0.0)
+    assert l[0] == vnls_local_energies(prob.a, prob.b, psi, x[:1], beta)[0][0]
+    assert lh[0] == local_energy_h(prob.a, psi, 0)
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_row_energies_below_the_shared_shift_match_their_own_batch(flavor):
+    # a_i = 100: psi(0) is about e^1400 times psi at weight 7, so in a batch
+    # with x = 0 their psi(x) underflows after the batch's shared shift.
+    # Those rows are summed again on their own scale, to the values a batch
+    # of them alone gives; the row at x = 0 keeps its bits.
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, sigma=0.5, seed=0, flavor=flavor)
+    theta = psi.get_params()
+    theta[:8] = 100.0
+    psi.set_params(theta)
+    basis = np.arange(256)
+    weight = np.bitwise_count(basis)
+    b = DenseState((weight >= 6).astype(float))  # Ehat stays finite at true scale
+    beta = sample_beta(b, 64, seed=1)
+    far = basis[weight == 7]
+    x = np.concatenate([[0], far])
+    l, _ = vnls_local_energies(prob.a, b, psi, x, beta)
+    alone, _ = vnls_local_energies(prob.a, b, psi, far, beta)
+    assert np.isfinite(alone).all()
+    np.testing.assert_allclose(l[1:], alone, rtol=1e-12)
+    assert l[0] == vnls_local_energies(prob.a, b, psi, x[:1], beta)[0][0]
+
+
 def _counted(psi):
     """Wrap psi's log_amp and log_prob; returns the list of (name, size)."""
     calls = []
@@ -601,12 +646,10 @@ def _counted(psi):
     return calls
 
 
-@pytest.mark.parametrize("flavor", ["real", "complex"])
-@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
-def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
+def _train_with_and_without_table(monkeypatch, kind, flavor, config):
+    """(records, theta) of one n = 10 run as _tabulate picks its source, then
+    of the same run on the model itself; wall times zeroed."""
     prob = ising_problem(10, 10.0)
-    config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
-                         seed=3, oracle_every=2 if kind == "vnls" else 0)
 
     def run():
         psi = init_gaussian(10, seed=5, flavor=flavor)
@@ -618,9 +661,18 @@ def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
             r.wall_ms = 0.0
         return records, psi.get_params()
 
-    tabulated, theta = run()
+    tabulated = run()
     monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
-    plain, theta_plain = run()
+    return tabulated, run()
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
+    config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
+                         seed=3, oracle_every=2 if kind == "vnls" else 0)
+    (tabulated, theta), (plain, theta_plain) = _train_with_and_without_table(
+        monkeypatch, kind, flavor, config)
     # the same draws and decisions; the whole-basis energies sum in another
     # order, so the estimates agree to rounding
     for field in ("epoch", "acceptance", "sr_fallback"):
@@ -636,6 +688,22 @@ def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
                                atol=1e-10 * np.abs(theta_plain).max())
     if kind == "vnls":  # fidelity-built tables are handed on, others built lazily
         assert [r.fidelity is not None for r in plain] == [True, False, True, True]
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_table_past_dense_limit_leaves_training_bit_identical(monkeypatch, kind,
+                                                              flavor):
+    # past dense_limit the row estimators read the table as they would the
+    # model, whose states take the same values in any batch
+    config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
+                         seed=3, dense_limit=9)
+    assert isinstance(engine._tabulate(init_gaussian(10, flavor=flavor), config),
+                      engine._BasisTable)
+    (tabulated, theta), (plain, theta_plain) = _train_with_and_without_table(
+        monkeypatch, kind, flavor, config)
+    assert tabulated == plain
+    assert np.array_equal(theta, theta_plain)
 
 
 @pytest.mark.parametrize("flavor, sigma", [("real", 0.1), ("complex", 0.1), ("real", 3.0)])
@@ -686,14 +754,15 @@ def test_whole_basis_energies_finite_wherever_the_row_path_is():
             np.testing.assert_allclose(g, w, rtol=1e-12)
 
 
-@pytest.mark.parametrize("oracle_every", [0, 1])
+@pytest.mark.parametrize("oracle_every, dense_limit", [(0, 14), (1, 14), (0, 9)],
+                         ids=["0", "1", "0-past-dense-limit"])
 @pytest.mark.parametrize("kind", ["vnls", "vqmc"])
-def test_basis_table_is_the_only_model_read(kind, oracle_every):
+def test_basis_table_is_the_only_model_read(kind, oracle_every, dense_limit):
     prob = ising_problem(10, 10.0)
     psi = init_gaussian(10, seed=1)
     calls = _counted(psi)
     config = TrainConfig(epochs=3, batch_size=512, chains=8, learning_rate=0.1,
-                         seed=2, oracle_every=oracle_every)
+                         seed=2, oracle_every=oracle_every, dense_limit=dense_limit)
     if kind == "vnls":
         train_vnls(prob.a, prob.b, psi, config)
     else:
@@ -706,7 +775,8 @@ def test_large_basis_keeps_the_model_path():
     h = ising_problem(16, 10.0).a
     psi = init_gaussian(16, seed=1)
     calls = _counted(psi)
-    train_vqmc(h, psi, TrainConfig(epochs=1, batch_size=1024, chains=8,
+    # 2^16 > 6 * 256 * 17: past the real flavor's table rule
+    train_vqmc(h, psi, TrainConfig(epochs=1, batch_size=256, chains=8,
                                    burn_in=16, seed=0))
     assert ("log_amp", 1 << 16) not in calls
     assert any(name == "log_prob" for name, _ in calls)
@@ -722,12 +792,19 @@ def test_raised_dense_limit_reaches_the_oracle():
 
 
 def test_tabulate_rule():
-    psi = init_gaussian(10, seed=0)  # thin defaults to 11
-    assert isinstance(engine._tabulate(psi, TrainConfig(batch_size=94)),
+    # thin defaults to 11; 2^10 <= c * batch * thin, c = 6 real, 3 complex
+    psi = init_gaussian(10, seed=0)
+    assert isinstance(engine._tabulate(psi, TrainConfig(batch_size=16)),
                       engine._BasisTable)
-    assert engine._tabulate(psi, TrainConfig(batch_size=93)) is psi
-    assert engine._tabulate(psi, TrainConfig(batch_size=93, thin=12)) is not psi
-    assert engine._tabulate(psi, TrainConfig(dense_limit=9)) is psi
+    assert engine._tabulate(psi, TrainConfig(batch_size=15)) is psi
+    assert engine._tabulate(psi, TrainConfig(batch_size=15, thin=12)) is not psi
+    complex_psi = init_gaussian(10, seed=0, flavor="complex")
+    assert isinstance(engine._tabulate(complex_psi, TrainConfig(batch_size=32)),
+                      engine._BasisTable)
+    assert engine._tabulate(complex_psi, TrainConfig(batch_size=31)) is complex_psi
+    # the oracle's dense limit does not bound the table
+    assert isinstance(engine._tabulate(psi, TrainConfig(dense_limit=9)),
+                      engine._BasisTable)
     dense = DenseState(np.ones(1 << 10))
     assert engine._tabulate(dense, TrainConfig()) is dense
     table = engine._tabulate(psi, TrainConfig())
