@@ -26,19 +26,19 @@ c * batch_size * thin, with c set by the model's flavor; see _tabulate),
 training evaluates log psi over the whole basis once per parameter set, in
 one log_amp call, and hands that table to the sampler, the energy functions
 and the fidelity check in place of the model.  The chains walk the table one
-by one (see sampling).  Up to n = dense_limit the energies come from
-whole-basis products with the operator's CSR matrix (operators.to_sparse,
-laid out from the same compiled rows and built once per training run): psi
-divided by its largest magnitude over the basis, then A psi and A^2 psi =
-A (A psi) for the solver, or H psi, gathered at the pi samples, with Ehat
-still the mean over the beta samples.  Past dense_limit no whole-basis
-matrix is built, and the row estimators read the table as they would the
-model.  A state's value no longer depends on which other states share a
-model call, so tabulated runs are bit for bit the same at any chain count.
-Their samples and acceptances are those of the model path.  Past
-dense_limit so are their energies, as the RBM gives every state the same
-value in any batch; up to it the whole-basis products sum in another
-order, so losses differ from a model-path run in the last bits.
+by one (see sampling).  Up to n = DENSE_LIMIT, the cap of to_sparse, the
+energies come from whole-basis products with the operator's CSR matrix:
+psi divided by its largest magnitude over the basis, then A psi and
+A^2 psi = A (A psi) for the solver, or H psi, gathered at the pi samples,
+with Ehat still the mean over the beta samples.  Past it the row
+estimators read the table as they would the model; a run's dense_limit
+bounds only the oracle and fidelity tracking.  A state's value no longer
+depends on which other states share a model call, so tabulated runs are
+bit for bit the same at any chain count.  Their samples and acceptances
+are those of the model path, and past DENSE_LIMIT so are their energies,
+as the RBM gives every state the same value in any batch; up to it the
+whole-basis products sum in another order, so losses differ from a
+model-path run in the last bits.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class _AmpTable:
     A DenseState is read linearly, which keeps exact zeros (their log is
     -inf and they contribute nothing to any row sum); every other model
     goes through ``log_amp`` with the shift applied in the exponent.
-    Training reads a _BasisTable by whole-basis products instead (see
-    _table_energies).
+    Training reads a _BasisTable here only past DENSE_LIMIT, and by
+    whole-basis products up to it (see _table_energies).
     """
 
     def __init__(self, psi, index_arrays):
@@ -400,17 +400,6 @@ def estimate_fisher(o, weights=None):
     return _fisher(_centred(o, w), w)
 
 
-@dataclass
-class SRState:
-    """One natural-gradient step's inputs."""
-
-    grad: np.ndarray
-    fisher: np.ndarray
-    learning_rate: float = 0.005
-    shift: float = 1e-2   # scales diag(F), keeps conditioning scale-free
-    ridge: float = 1e-6   # absolute floor for near-zero diagonal entries
-
-
 def sr_step(theta, sr):
     """theta - lr * solve(F + shift*diag(F) + ridge*I, grad).
 
@@ -483,7 +472,7 @@ class TrainConfig:
     ridge: float = 1e-6
     seed: int = 0
     oracle_every: int = 0           # 0 disables exact fidelity tracking
-    dense_limit: int = DENSE_LIMIT
+    dense_limit: int = DENSE_LIMIT  # bounds the oracle and fidelity tracking only
 
     def validate(self):
         """Raise ValueError unless every field meets the class's rules."""
@@ -499,6 +488,17 @@ class TrainConfig:
             v = getattr(self, name)
             if not (_is_number(v, numbers.Real) and math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+@dataclass
+class SRState:
+    """One natural-gradient step's inputs; the defaults are TrainConfig's."""
+
+    grad: np.ndarray
+    fisher: np.ndarray
+    learning_rate: float = TrainConfig.learning_rate
+    shift: float = TrainConfig.shift   # scales diag(F), keeps conditioning scale-free
+    ridge: float = TrainConfig.ridge   # absolute floor for near-zero diagonal entries
 
 
 @dataclass
@@ -600,15 +600,10 @@ def train_vqmc(h, psi, config):
                 f"fidelity tracking needs n <= {config.dense_limit}")
         target = oracle.ground_state(h, config.dense_limit)
 
-    matrix = None  # H over the whole basis, built with the first table up to dense_limit
-
     def energy(source, batch, epoch):
-        nonlocal matrix
-        if h.n > config.dense_limit or not isinstance(source, _BasisTable):
+        if h.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
-        if matrix is None:
-            matrix = to_sparse(h, config.dense_limit)
-        return _table_energy_h(h, matrix, source, batch.indices)
+        return _table_energy_h(h, to_sparse(h), source, batch.indices)
 
     return _train(psi, config, energy, target)
 
@@ -630,19 +625,18 @@ def train_vnls(a, b, psi, config):
                 f"fidelity tracking needs n <= {config.dense_limit}")
         target = oracle.exact_solve(a, b, config.dense_limit)
 
-    matrix = ab = None  # A and A b over the whole basis, as matrix is in train_vqmc
+    ab = None  # A b over the whole basis, with the first table
     beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
     def energy(source, batch, epoch):
-        nonlocal matrix, ab
+        nonlocal ab
         beta = _draw_beta(b, beta_cdf, config.batch_size,
                           seed=(config.seed, _BETA_STREAM, epoch))
-        if a.n > config.dense_limit or not isinstance(source, _BasisTable):
+        if a.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
-        if matrix is None:
-            matrix = to_sparse(a, config.dense_limit)
-            ab = matrix @ b.amplitudes
-        return _table_vnls_energies(a, matrix, ab, b, source, batch.indices, beta)
+        if ab is None:
+            ab = to_sparse(a) @ b.amplitudes
+        return _table_vnls_energies(a, to_sparse(a), ab, b, source, batch.indices, beta)
 
     return _train(psi, config, energy, target)

@@ -15,8 +15,8 @@ per distinct column of row x of A^2: at most T(T+1)/2 for a T-term sum,
 and far fewer when strings share flip masks.
 
 Whole-basis matrices are laid out from the same compiled rows: to_sparse
-as CSR, the matrix training and the exact oracle multiply by, and to_dense
-as that CSR made dense.
+as CSR, compiled once per sum and read-only, the one matrix training and
+the exact oracle multiply by, and to_dense as that CSR made dense.
 
 Bit convention, fixed across the package: qubit 0 is the most significant
 bit of a basis index, so a term's matrix is the tensor product factor_0
@@ -33,7 +33,8 @@ import scipy.sparse as sp
 from .errors import CapabilityError, ParseError
 
 # Largest qubit count for anything that enumerates the 2^n basis: dense
-# vectors, to_sparse, the exact oracle and the CLI's --dense-limit default.
+# vectors, to_sparse and with it training's whole-basis energies, the exact
+# oracle and the CLI's --dense-limit default.
 DENSE_LIMIT = 14
 
 # Largest qubit count for full 2^n x 2^n matrices (16 MiB at n = 10, 4 GiB
@@ -108,6 +109,7 @@ class PauliSum:
         self.is_hermitian = all(t.coefficient.imag == 0.0 for t in terms)
         self._row_form = None
         self._square_form = None
+        self._sparse = None
 
     def row_form(self):
         """This sum's compiled RowForm, built on first use."""
@@ -274,15 +276,20 @@ def to_sparse(h, limit=DENSE_LIMIT):
 
     Row x holds h.row_form().rows(x): one entry per flip group, in group
     order, so every row has the same number of entries.  An entry whose
-    strings cancel on that row is kept as an explicit zero.
+    strings cancel on that row is kept as an explicit zero.  The matrix is
+    built once, cached on h and returned read-only by every later call.
     """
     if h.n > limit:
         raise CapabilityError(
             f"whole-basis matrices limited to n <= {limit}, got n={h.n}")
-    dim = 1 << h.n
-    cols, vals = h.row_form().rows(np.arange(dim, dtype=np.int64))
-    return sp.csr_matrix((vals.ravel(), cols.ravel(),
-                          np.arange(dim + 1) * cols.shape[1]), shape=(dim, dim))
+    if h._sparse is None:
+        dim = 1 << h.n
+        cols, vals = h.row_form().rows(np.arange(dim, dtype=np.int64))
+        h._sparse = sp.csr_matrix((vals.ravel(), cols.ravel(),
+                                   np.arange(dim + 1) * cols.shape[1]), shape=(dim, dim))
+        for part in (h._sparse.data, h._sparse.indices, h._sparse.indptr):
+            part.flags.writeable = False
+    return h._sparse
 
 
 def to_dense(h, limit=DENSE_MATRIX_LIMIT):

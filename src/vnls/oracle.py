@@ -6,11 +6,15 @@ sparse: operators.to_sparse lays out the compiled RowForm rows of a Pauli
 sum at every basis state as CSR, the same matrix training multiplies by.
 Eigenvalues come from LAPACK on that CSR made dense for n <=
 DENSE_MATRIX_LIMIT, and from Lanczos above it.  The dense branch is not
-there for speed (at n = 10 it is the slower one).  It finds the zero
-eigenvalue of a singular A, so kappa reads inf where shift-invert could
-not factor A, and it covers n = 1, where ARPACK cannot take one eigenvalue
-of a 2 x 2 matrix.  Every function here refuses n beyond its ``limit`` on
-either branch.
+there for speed (at n = 10 it is the slower one).  It covers n = 1,
+where ARPACK cannot take one eigenvalue of a 2 x 2 matrix.  A singular A
+gets kappa = inf on both branches: above it, from a shift-invert factor
+that comes out exactly singular.  Lanczos results are checked against the
+Rayleigh quotient of the start vector, which lies between the extremes of
+any Hermitian spectrum; a run whose extremes miss it has stalled short of
+part of the spectrum and raises numpy.linalg.LinAlgError rather than
+certify wrong values.  Every function here refuses n beyond its ``limit``
+on either branch.
 Linear solves use conjugate gradients on that CSR, because the X terms
 make its sparsity graph a hypercube on which sparse LU fills in almost
 completely.
@@ -121,6 +125,22 @@ def _lanczos_extreme(mat, which):
                             return_eigenvectors=False)[0])
 
 
+def _check_lanczos(mat, lo, hi=np.inf):
+    """Raise LinAlgError unless [lo, hi] holds the start's Rayleigh quotient.
+
+    Every Rayleigh quotient of a Hermitian matrix lies within its extreme
+    eigenvalues, so Lanczos extremes that exclude the start's quotient were
+    found on part of the spectrum only.
+    """
+    v = _start(mat)
+    q = float(np.vdot(v, mat @ v).real / (v @ v))
+    slack = 1e-10 * max(abs(lo), abs(q))  # roundoff in q and the extremes
+    if not lo - slack <= q <= hi + slack:
+        raise np.linalg.LinAlgError(
+            f"Lanczos stalled: the Rayleigh quotient {q!r} of its start "
+            f"vector lies outside the eigenvalue range [{lo!r}, {hi!r}] it found")
+
+
 def extremal_eigs(a, limit=DENSE_LIMIT):
     """(lambda_min, lambda_max) of a Hermitian sum."""
     if not a.is_hermitian:
@@ -129,7 +149,9 @@ def extremal_eigs(a, limit=DENSE_LIMIT):
         vals = np.linalg.eigvalsh(to_dense(a, limit))
         return float(vals[0]), float(vals[-1])
     mat = to_sparse(a, limit)
-    return _lanczos_extreme(mat, "SA"), _lanczos_extreme(mat, "LA")
+    lmin, lmax = _lanczos_extreme(mat, "SA"), _lanczos_extreme(mat, "LA")
+    _check_lanczos(mat, lmin, lmax)
+    return lmin, lmax
 
 
 def operator_norm_and_condition(a, limit=DENSE_LIMIT):
@@ -150,9 +172,14 @@ def operator_norm_and_condition(a, limit=DENSE_LIMIT):
         hi = max(abs(lmin), abs(lmax))
         if lmin < 0.0 < lmax:
             mat = to_sparse(a, limit).tocsc()
-            lo = abs(float(spla.eigsh(mat, k=1, sigma=0.0, which="LM",
-                                      v0=_start(mat),
-                                      return_eigenvectors=False)[0]))
+            try:
+                lo = abs(float(spla.eigsh(mat, k=1, sigma=0.0, which="LM",
+                                          v0=_start(mat),
+                                          return_eigenvectors=False)[0]))
+            except RuntimeError as err:  # raised by the LU factor of A
+                if "exactly singular" not in str(err):
+                    raise
+                lo = 0.0
         else:
             lo = min(abs(lmin), abs(lmax))
     if lo == 0.0:
@@ -169,6 +196,7 @@ def ground_state(h, limit=DENSE_LIMIT):
         return vecs[:, 0]
     mat = to_sparse(h, limit)
     vals, vecs = spla.eigsh(mat, k=1, which="SA", v0=_start(mat))
+    _check_lanczos(mat, float(vals[0]))
     return vecs[:, 0]
 
 

@@ -153,9 +153,9 @@ class _BasisTable:
     proposals (see vnls.engine._tabulate) and passes it in place of the
     model: the sampler walks its chains over ``log_probs`` one by one, and
     the trainers' local energies take whole-basis products with
-    ``log_amps`` up to their dense_limit.  ``log_amp`` and ``log_prob``
+    ``log_amps`` up to operators.DENSE_LIMIT.  ``log_amp`` and ``log_prob``
     gather from the table, for the chains' start states, dense_vector and
-    the row estimators past dense_limit, which read it as they would the
+    the row estimators past DENSE_LIMIT, which read it as they would the
     model.  It holds 24 bytes per basis state.
     """
 

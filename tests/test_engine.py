@@ -29,7 +29,7 @@ from vnls import (
     train_vqmc,
     vnls_local_energies,
 )
-from vnls import PauliSum, PauliTerm, identity_sum
+from vnls import CapabilityError, PauliSum, PauliTerm, identity_sum
 import vnls.engine as engine
 
 from conftest import dense_rayleigh, dense_vnls_loss, kron_sum, random_sum
@@ -694,10 +694,11 @@ def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
 @pytest.mark.parametrize("kind", ["vnls", "vqmc"])
 def test_table_past_dense_limit_leaves_training_bit_identical(monkeypatch, kind,
                                                               flavor):
-    # past dense_limit the row estimators read the table as they would the
+    # past DENSE_LIMIT the row estimators read the table as they would the
     # model, whose states take the same values in any batch
+    monkeypatch.setattr(engine, "DENSE_LIMIT", 9)
     config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
-                         seed=3, dense_limit=9)
+                         seed=3)
     assert isinstance(engine._tabulate(init_gaussian(10, flavor=flavor), config),
                       engine._BasisTable)
     (tabulated, theta), (plain, theta_plain) = _train_with_and_without_table(
@@ -757,12 +758,14 @@ def test_whole_basis_energies_finite_wherever_the_row_path_is():
 @pytest.mark.parametrize("oracle_every, dense_limit", [(0, 14), (1, 14), (0, 9)],
                          ids=["0", "1", "0-past-dense-limit"])
 @pytest.mark.parametrize("kind", ["vnls", "vqmc"])
-def test_basis_table_is_the_only_model_read(kind, oracle_every, dense_limit):
+def test_basis_table_is_the_only_model_read(monkeypatch, kind, oracle_every,
+                                            dense_limit):
+    monkeypatch.setattr(engine, "DENSE_LIMIT", dense_limit)
     prob = ising_problem(10, 10.0)
     psi = init_gaussian(10, seed=1)
     calls = _counted(psi)
     config = TrainConfig(epochs=3, batch_size=512, chains=8, learning_rate=0.1,
-                         seed=2, oracle_every=oracle_every, dense_limit=dense_limit)
+                         seed=2, oracle_every=oracle_every)
     if kind == "vnls":
         train_vnls(prob.a, prob.b, psi, config)
     else:
@@ -789,6 +792,57 @@ def test_raised_dense_limit_reaches_the_oracle():
     records = train_vnls(prob.a, prob.b, psi, TrainConfig(
         epochs=1, batch_size=64, seed=0, oracle_every=1, dense_limit=15))
     assert 0.0 <= records[0].fidelity <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_dense_limit_reaches_no_training_number(kind):
+    # dense_limit bounds the oracle only: a tabulated n = 10 run takes its
+    # energies by the same route at the oracle limits 9 and 14
+    prob = ising_problem(10, 10.0)
+
+    def run(dense_limit):
+        psi = init_gaussian(10, seed=5)
+        config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
+                             seed=3, dense_limit=dense_limit)
+        assert isinstance(engine._tabulate(psi, config), engine._BasisTable)
+        if kind == "vnls":
+            records = train_vnls(prob.a, prob.b, psi, config)
+        else:
+            records = train_vqmc(prob.a, psi, config)
+        for r in records:
+            r.wall_ms = 0.0
+        return records, psi.get_params()
+
+    (records, theta), (records9, theta9) = run(14), run(9)
+    assert records == records9
+    assert np.array_equal(theta, theta9)
+
+
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_fidelity_tracking_past_dense_limit_is_refused(kind):
+    prob = ising_problem(4, 10.0)
+    config = TrainConfig(epochs=1, batch_size=16, oracle_every=1, dense_limit=3)
+    with pytest.raises(CapabilityError, match="fidelity tracking needs n <= 3"):
+        if kind == "vnls":
+            train_vnls(prob.a, prob.b, init_gaussian(4, seed=0), config)
+        else:
+            train_vqmc(prob.a, init_gaussian(4, seed=0), config)
+
+
+def test_imaginary_mean_energy_warns_once():
+    # i * I is not Hermitian: every local energy is exactly i, with no noise
+    h = identity_sum(3, 1j)
+    with pytest.warns(UserWarning, match="imaginary part") as caught:
+        records = train_vqmc(h, init_gaussian(3, seed=0), TrainConfig(
+            epochs=3, batch_size=32, chains=2, seed=0))
+    assert len(caught) == 1
+    assert [r.loss_imag for r in records] == [1.0, 1.0, 1.0]
+
+
+def test_sr_state_defaults_are_train_config_defaults():
+    sr = SRState(grad=np.zeros(1), fisher=np.zeros((1, 1)))
+    for name in ("learning_rate", "shift", "ridge"):
+        assert getattr(sr, name) == getattr(TrainConfig(), name), name
 
 
 def test_tabulate_rule():

@@ -10,6 +10,7 @@ from vnls import (
     OracleReport,
     PauliSum,
     PauliTerm,
+    TrainConfig,
     apply_to_state,
     check_error_bound,
     exact_loss,
@@ -18,6 +19,7 @@ from vnls import (
     fidelity,
     ground_state,
     identity_sum,
+    init_gaussian,
     ising_identities,
     ising_problem,
     operator_norm_and_condition,
@@ -26,7 +28,9 @@ from vnls import (
     to_dense,
     to_sparse,
     trace_distance,
+    train_vnls,
 )
+from vnls.operators import RowForm
 
 from conftest import (dense_rayleigh, dense_vnls_loss, kron_sum, random_state,
                       random_sum, random_terms)
@@ -140,6 +144,50 @@ def test_to_sparse_matches_dense(rng):
 def test_to_sparse_respects_limit():
     with pytest.raises(CapabilityError):
         to_sparse(identity_sum(3), limit=2)
+
+
+def test_to_sparse_is_compiled_once_and_read_only():
+    h = ising_problem(4, 10.0).a
+    mat = to_sparse(h)
+    assert to_sparse(h) is mat
+    assert to_sparse(h, limit=4) is mat
+    with pytest.raises(CapabilityError):  # the limit holds once cached too
+        to_sparse(h, limit=3)
+    for part in (mat.data, mat.indices, mat.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = part[1]
+    assert np.array_equal(mat.toarray(), kron_sum(h))
+
+
+def _certificate(p):
+    check_error_bound(p.a, p.b, init_gaussian(p.n, seed=0))
+
+
+def _tracked_vnls(p):
+    train_vnls(p.a, p.b, init_gaussian(p.n, seed=0), TrainConfig(
+        epochs=2, batch_size=256, chains=8, seed=0, oracle_every=1))
+
+
+@pytest.mark.parametrize("n, call", [
+    (10, _certificate),
+    (12, _certificate),
+    (10, _tracked_vnls),
+    (10, lambda p: ising_identities(p.n, p.kappa)),
+], ids=["certificate-10", "certificate-12", "tracked-train-vnls", "ising-identities"])
+def test_one_whole_basis_build_per_operator(monkeypatch, n, call):
+    # the solve, loss, spectrum, fidelity target and training energies all
+    # read the operator's one CSR
+    builds = []
+    rows = RowForm.rows
+
+    def counted(form, x):
+        if np.array_equal(x, np.arange(1 << n)):
+            builds.append(form)
+        return rows(form, x)
+
+    monkeypatch.setattr(RowForm, "rows", counted)
+    call(ising_problem(n, 10.0))
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("call", [extremal_eigs, operator_norm_and_condition,
@@ -257,6 +305,29 @@ def test_norm_and_condition_indefinite_sparse_path():
     norm, kappa = operator_norm_and_condition(h)
     assert norm == pytest.approx(11.0, abs=1e-6)
     assert kappa == pytest.approx(11.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("flip", ["Z", "X"])
+def test_singular_indefinite_a_has_infinite_condition_past_the_dense_branch(flip):
+    # Z0 + Z1 and X0 + X1 have eigenvalues -2, 0, 2: shift-invert at zero
+    # meets an exactly singular factor
+    n = 11
+    a = PauliSum([PauliTerm(1.0, {q: flip}, n) for q in (0, 1)], n)
+    norm, kappa = operator_norm_and_condition(a)
+    assert norm == pytest.approx(2.0, abs=1e-12)
+    assert kappa == np.inf
+
+
+@pytest.mark.parametrize("call", [extremal_eigs, operator_norm_and_condition,
+                                  ground_state])
+@pytest.mark.parametrize("flip", ["Z", "X"])
+def test_stalled_lanczos_is_refused(call, flip):
+    # I + Z0 and I + X0 have eigenvalues 0 and 2, each 1024-fold; Lanczos
+    # from the fixed start reports 2 for both ends, which would read kappa = 1
+    n = 11
+    a = PauliSum([PauliTerm(1.0, {}, n), PauliTerm(1.0, {0: flip}, n)], n)
+    with pytest.raises(np.linalg.LinAlgError, match="Lanczos stalled"):
+        call(a)
 
 
 def test_ground_state_matches_dense_eigensolver(rng):
