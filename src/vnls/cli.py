@@ -8,7 +8,8 @@ ising-scan (exact fidelity of b against the solution across sizes).
 Options may come from a JSON config file (--config); flags given on the
 command line override file values, which override defaults.  Exit codes:
 0 success, 2 configuration or input error, 3 request beyond the exact
-oracle's size capability.
+oracle's size capability.  This module only parses: each rule on an input
+belongs to the library function that takes the value.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import CapabilityError, ParseError
 from .oracle import check_error_bound, exact_solve, fidelity, ising_identities
 from .operators import load_operator
 from .problems import ising_problem, load_problem
-from .states import (DEFAULT_ALPHA, check_init_options, dense_vector,
-                     init_gaussian, load_checkpoint, save_checkpoint)
+from .states import (DEFAULT_ALPHA, check_init_options, init_gaussian,
+                     load_checkpoint, save_checkpoint)
 
 CSV_HEADER = ("epoch", "loss", "loss_var", "grad_norm", "acceptance",
               "fidelity", "wall_ms")
@@ -100,10 +101,6 @@ def _resolve_problem(args):
             kappa = float(kappa_text)
         except ValueError:
             raise ParseError(f"bad --ising arguments: {n_text} {kappa_text}") from None
-        if n < 2:
-            raise ParseError("--ising needs n >= 2")
-        if not kappa > 1:
-            raise ParseError("--ising needs kappa > 1")
         if n > 24:
             raise CapabilityError("right-hand-side storage is dense; n > 24 "
                                   "is beyond this build")
@@ -139,62 +136,57 @@ def write_csv(path, records):
                 int(round(r.wall_ms))])
 
 
-def cmd_solve(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
-    problem = _resolve_problem(args)
-    cfg.validate(problem.n)
-    psi = _init_model(cfg, problem.n)
-    records = train_vnls(problem.a, problem.b, psi, _train_config(cfg))
-    out = args.output or "solve.csv"
+def _run(cfg, a, b, out, checkpoint):
+    """One training run, of the solver on (a, b) or, with b None, of the
+    ground-state search on a: initialise the model, train it, write the CSV
+    to out and the model to checkpoint (if given), and print the report."""
+    cfg.validate(a.n)
+    psi = _init_model(cfg, a.n)
+    config = _train_config(cfg)
+    if b is None:
+        records = train_vqmc(a, psi, config)
+    else:
+        records = train_vnls(a, b, psi, config)
     write_csv(out, records)
-    if args.save_checkpoint:
-        save_checkpoint(psi, args.save_checkpoint)
-    if records:
+    if checkpoint:
+        save_checkpoint(psi, checkpoint)
+    if b is None:
+        last_loss = records[-1].loss if records else float("nan")
+        print(f"vqmc: n={a.n} epochs={len(records)} final_energy={last_loss:.6g} "
+              f"csv={out}")
+    elif records:
         last = records[-1]
-        print(f"solve: n={problem.n} epochs={len(records)} "
+        print(f"solve: n={a.n} epochs={len(records)} "
               f"final_loss={last.loss:.6g} csv={out}")
         if last.fidelity is not None:
             print(f"solve: final_fidelity={last.fidelity:.6f}")
     else:
-        print(f"solve: n={problem.n} epochs=0 csv={out}")
+        print(f"solve: n={a.n} epochs=0 csv={out}")
     return 0
+
+
+def cmd_solve(args):
+    cfg = RunConfig.build(args, _DEFAULTS.keys())
+    problem = _resolve_problem(args)
+    return _run(cfg, problem.a, problem.b, args.output or "solve.csv",
+                args.save_checkpoint)
 
 
 def cmd_vqmc(args):
     cfg = RunConfig.build(args, _DEFAULTS.keys())
-    operator_path = getattr(args, "operator", None)
-    if operator_path is not None:
-        h = load_operator(operator_path)
+    if args.operator is not None:
+        h = load_operator(args.operator)
     else:
-        problem = _resolve_problem(args)
-        h = problem.a
-    if not h.is_hermitian:
-        raise ParseError("vqmc needs a Hermitian operator (real coefficients)")
-    cfg.validate(h.n)
-    psi = _init_model(cfg, h.n)
-    records = train_vqmc(h, psi, _train_config(cfg))
-    out = args.output or "vqmc.csv"
-    write_csv(out, records)
-    if args.save_checkpoint:
-        save_checkpoint(psi, args.save_checkpoint)
-    last_loss = records[-1].loss if records else float("nan")
-    print(f"vqmc: n={h.n} epochs={len(records)} final_energy={last_loss:.6g} "
-          f"csv={out}")
-    return 0
+        h = _resolve_problem(args).a
+    return _run(cfg, h, None, args.output or "vqmc.csv", args.save_checkpoint)
 
 
 def cmd_oracle(args):
     cfg = RunConfig.build(args, _DEFAULTS.keys())
     problem = _resolve_problem(args)
-    if problem.n > cfg["dense_limit"]:
-        raise CapabilityError(
-            f"exact oracle limited to n <= {cfg['dense_limit']}, got n={problem.n}")
-    if args.checkpoint:
-        psi_vec = dense_vector(load_checkpoint(args.checkpoint),
-                               limit=cfg["dense_limit"])
-    else:
-        psi_vec = problem.b.amplitudes  # how close is b itself to the solution
-    report = check_error_bound(problem.a, problem.b, psi_vec,
+    # without a checkpoint: how close is b itself to the solution
+    psi = load_checkpoint(args.checkpoint) if args.checkpoint else problem.b
+    report = check_error_bound(problem.a, problem.b, psi,
                                limit=cfg["dense_limit"])
     for line in report.to_lines():
         print(line)
@@ -212,43 +204,33 @@ def cmd_oracle(args):
     return 0
 
 
+def _tagged(path, tag):
+    path = Path(path)
+    return str(path.with_name(f"{path.stem}_{tag}{path.suffix}"))
+
+
 def cmd_sweep(args):
     cfg = RunConfig.build(args, _DEFAULTS.keys())
-    values = args.values
-    if not values:
+    if not args.values:
         raise ParseError("sweep needs at least one axis value")
-    base_epochs = cfg["epochs"]
-    out_base = Path(args.output or "sweep.csv")
-    for i, raw in enumerate(values):
-        sub = argparse.Namespace(**vars(args))
-        sub.seed = cfg["seed"] + i
-        if args.axis == "batch":
-            try:
-                k = int(raw)
-            except ValueError:
-                raise ParseError(f"bad batch size {raw!r}") from None
-            if k < 1:
-                raise ParseError("batch sizes must be positive")
-            # constant sample budget: k * epochs stays fixed
-            sub.batch_size = k
-            sub.epochs = max(1, round(base_epochs * cfg["batch_size"] / k))
-            tag = f"batch{k}"
-        else:
-            try:
-                lr = float(raw)
-            except ValueError:
-                raise ParseError(f"bad learning rate {raw!r}") from None
-            if not lr > 0:
-                raise ParseError("learning rates must be positive")
-            # epochs scale inversely with the step size
-            sub.lr = lr
-            sub.epochs = max(1, round(base_epochs * cfg["lr"] / lr))
-            tag = f"lr{lr:g}"
-        sub.output = str(out_base.with_name(f"{out_base.stem}_{tag}{out_base.suffix}"))
-        sub.save_checkpoint = None
-        code = cmd_solve(sub)
-        if code:
-            return code
+    key, kind, what = (("batch_size", int, "batch size") if args.axis == "batch"
+                       else ("lr", float, "learning rate"))
+    runs = []
+    for i, raw in enumerate(args.values):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ParseError(f"bad {what} {raw!r}") from None
+        run_cfg = RunConfig(cfg, seed=cfg["seed"] + i, **{key: value})
+        _train_config(run_cfg).validate()
+        # batch sizes keep the sample budget batch * epochs; epochs scale
+        # inversely with the learning rate
+        run_cfg["epochs"] = max(1, round(cfg["epochs"] * cfg[key] / value))
+        runs.append((run_cfg, f"batch{value}" if key == "batch_size" else f"lr{value:g}"))
+    problem = _resolve_problem(args)
+    for run_cfg, tag in runs:
+        _run(run_cfg, problem.a, problem.b, _tagged(args.output or "sweep.csv", tag),
+             args.save_checkpoint and _tagged(args.save_checkpoint, tag))
     return 0
 
 
@@ -267,8 +249,7 @@ def cmd_ising_scan(args):
             kappa = float(raw)
         except ValueError:
             raise ParseError(f"bad kappa {raw!r}") from None
-        if not kappa > 1:
-            raise ParseError("kappa values must exceed 1")
+        ising_problem(2, kappa)  # refuses a bad kappa before any row prints
         kappas.append(kappa)
     if not kappas:
         raise ParseError("ising-scan needs at least one kappa")
@@ -381,8 +362,7 @@ def main(argv=None):
     except CapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, FileNotFoundError, IsADirectoryError, OSError,
-            ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

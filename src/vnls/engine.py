@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import numbers
 import time
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -527,7 +526,6 @@ def _check_finite(epoch, name, value, last_loss):
 def _train(psi, config, energy_fn, target):
     config.validate()
     records = []
-    warned = False
     last_loss = None
     chain_states = None  # the chains persist across epochs: burn-in runs once
     source = None  # amplitude source for the current parameters, when built
@@ -569,14 +567,6 @@ def _train(psi, config, energy_fn, target):
                                    or epoch == config.epochs - 1):
             source = _tabulate(psi, config)  # the next epoch reads it too
             fid = oracle.fidelity(dense_vector(source, config.dense_limit), target)
-        # Im E[l] vanishes for Hermitian operators; flag it only when it
-        # clearly exceeds the statistical error of the batch mean.
-        noise = np.sqrt(variance / max(1, len(batch)))
-        if not warned and abs(l_hat.imag) > 20.0 * noise + 1e-12:
-            warnings.warn("local-energy mean has an imaginary part far above "
-                          "sampling noise; check the operator for Hermiticity",
-                          stacklevel=2)
-            warned = True
         records.append(EpochRecord(
             epoch=epoch, loss=float(l_hat.real), loss_var=variance,
             grad_norm=float(np.linalg.norm(g)),
@@ -586,13 +576,24 @@ def _train(psi, config, energy_fn, target):
     return records
 
 
+def _check_inputs(op, **states):
+    """Raise ValueError unless op is Hermitian and each state on its qubits."""
+    if not op.is_hermitian:
+        raise ValueError("the operator must be Hermitian (real coefficients)")
+    for name, state in states.items():
+        if state.n != op.n:
+            raise ValueError(f"{name} is on {state.n} qubits but the operator on {op.n}")
+
+
 def train_vqmc(h, psi, config):
     """Variational ground-state search: minimize <H> by SR updates.
 
-    Returns the list of EpochRecords; psi is updated in place.  With
-    ``oracle_every`` set, fidelity against the exact lowest eigenvector is
-    recorded every that many epochs (requires n <= dense_limit).
+    H must be Hermitian (real coefficients) and psi on its qubits, else
+    ValueError.  Returns the list of EpochRecords; psi is updated in place.
+    With ``oracle_every`` set, fidelity against the exact lowest eigenvector
+    is recorded every that many epochs (requires n <= dense_limit).
     """
+    _check_inputs(h, psi=psi)
     target = None
     if config.oracle_every:
         if h.n > config.dense_limit:
@@ -614,10 +615,10 @@ def train_vnls(a, b, psi, config):
     Per epoch: fresh pi samples from psi, fresh beta samples from b (their
     RNG streams never overlap), one shared Ehat, one SR update.  With
     ``oracle_every`` set, fidelity against the exact solution A^{-1} b is
-    recorded (requires n <= dense_limit).
+    recorded (requires n <= dense_limit).  A must be Hermitian and psi and b
+    on its qubits, else ValueError.
     """
-    if not a.is_hermitian:
-        raise ValueError("A must be Hermitian (real coefficients)")
+    _check_inputs(a, psi=psi, b=b)
     target = None
     if config.oracle_every:
         if a.n > config.dense_limit:

@@ -51,7 +51,8 @@ class PauliTerm:
     ``factors`` maps qubit index -> letter; absent qubits carry identity.
     The row action is precomputed into two bit masks: flipping X/Y bits
     selects the column, and the parity of x against the Y/Z bits fixes the
-    sign.  The constant phase (-i)^{#Y} is folded into ``_weight``.
+    sign.  The constant phase (-i)^{#Y} is folded into ``_weight``.  The
+    coefficient must be finite.
     """
 
     __slots__ = ("coefficient", "factors", "n", "_flip", "_signs", "_weight")
@@ -60,6 +61,9 @@ class PauliTerm:
         n = int(n)
         if n < 1:
             raise ValueError("need at least one qubit")
+        coefficient = complex(coefficient)
+        if not np.isfinite(coefficient):
+            raise ValueError(f"coefficient must be finite, got {coefficient!r}")
         factors = {int(q): str(letter) for q, letter in dict(factors).items()}
         flip = 0
         signs = 0
@@ -76,7 +80,7 @@ class PauliTerm:
                 signs |= bit
             if letter == "Y":
                 n_y += 1
-        self.coefficient = complex(coefficient)
+        self.coefficient = coefficient
         self.factors = factors
         self.n = n
         self._flip = flip
@@ -312,6 +316,7 @@ def parse_term_line(line, n, lineno=0):
     """One term: 1-2 leading floats (real [imag]) then Pauli tokens.
 
     Tokens look like X3 / Y0 / Z12, or a literal I for the identity term.
+    Each fault raises ParseError naming the line.
     """
     tokens = line.split()
     coefs = []
@@ -340,7 +345,10 @@ def parse_term_line(line, n, lineno=0):
         if q in factors:
             raise ParseError(f"line {lineno}: duplicate qubit {q} within one term")
         factors[q] = letter
-    return PauliTerm(coefficient, factors, n)
+    try:
+        return PauliTerm(coefficient, factors, n)
+    except ValueError as exc:  # the tokens are checked: a non-finite coefficient
+        raise ParseError(f"line {lineno}: {exc}: {line!r}") from None
 
 
 def parse_pauli_sum(text, n):

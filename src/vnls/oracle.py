@@ -33,14 +33,17 @@ from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, apply_term_row, to_dens
 from .states import DenseState, Wavefunction, dense_vector
 
 
-def _as_vector(state, limit=DENSE_LIMIT):
+def _as_vector(state, n, limit=DENSE_LIMIT):
+    """state over the basis of an operator on n qubits, or ValueError."""
     if isinstance(state, DenseState):
-        return state.amplitudes
-    if isinstance(state, Wavefunction):
-        return dense_vector(state, limit)
-    out = np.asarray(state, dtype=np.complex128)
-    if out.ndim != 1:
-        raise ValueError("expected a state vector")
+        out = state.amplitudes
+    elif isinstance(state, Wavefunction):
+        out = dense_vector(state, limit)
+    else:
+        out = np.asarray(state, dtype=np.complex128)
+    if out.shape != (1 << n,):
+        raise ValueError(f"a state of shape {out.shape} for an operator on "
+                         f"{n} qubits, which needs {1 << n} amplitudes")
     return out
 
 
@@ -55,7 +58,7 @@ def exact_solve(a, b, limit=DENSE_LIMIT):
     Raises numpy.linalg.LinAlgError when A is singular or so
     ill-conditioned that the relative residual exceeds 1e-10.
     """
-    vec = _as_vector(b, limit)
+    vec = _as_vector(b, a.n, limit)
     mat = to_sparse(a, limit)
     tol = 1e-10 * max(np.linalg.norm(vec), 1e-300)
 
@@ -103,8 +106,8 @@ def exact_loss(a, b, psi, limit=DENSE_LIMIT):
     (<w|w> - |<b|w>|^2 / <b|b>) / <psi|psi>, clamped at zero against
     roundoff.  Zero exactly when psi is proportional to A^{-1} b.
     """
-    vec_b = _as_vector(b, limit)
-    vec_psi = _as_vector(psi, limit)
+    vec_b = _as_vector(b, a.n, limit)
+    vec_psi = _as_vector(psi, a.n, limit)
     w = to_sparse(a, limit) @ vec_psi
     num = np.vdot(w, w).real - abs(np.vdot(vec_b, w)) ** 2 / np.vdot(vec_b, vec_b).real
     return float(max(0.0, num / np.vdot(vec_psi, vec_psi).real))
@@ -202,7 +205,7 @@ def ground_state(h, limit=DENSE_LIMIT):
 
 def rayleigh_quotient(h, psi, limit=DENSE_LIMIT):
     """<psi|H|psi> / <psi|psi> evaluated exactly."""
-    v = _as_vector(psi, limit)
+    v = _as_vector(psi, h.n, limit)
     w = to_sparse(h, limit) @ v
     return float((np.vdot(v, w) / np.vdot(v, v)).real)
 
@@ -251,8 +254,8 @@ def check_error_bound(a, b, psi, solution=None, spectrum=None,
     fidelity.  ``solution`` and ``spectrum = (norm, kappa)`` may be passed
     to amortize repeated checks against one problem.
     """
-    vec_psi = _as_vector(psi, limit)
-    sol = exact_solve(a, b, limit) if solution is None else np.asarray(solution)
+    vec_psi = _as_vector(psi, a.n, limit)
+    sol = exact_solve(a, b, limit) if solution is None else _as_vector(solution, a.n, limit)
     fid = fidelity(vec_psi, sol)
     fid = min(fid, 1.0)  # roundoff can land at 1 + 1e-16
     dist = float(np.sqrt(max(0.0, 1.0 - fid)))

@@ -44,7 +44,7 @@ def ising_perturbation_scale(n, kappa):
 
 
 def ising_problem(n, kappa):
-    """The conditioned benchmark problem on n >= 2 qubits.
+    """The conditioned benchmark problem on n >= 2 qubits, finite kappa > 1.
 
     Term order is fixed: n X terms, n-1 nearest-neighbor ZZ terms, one
     identity term.  b is the unnormalized all-ones vector.
@@ -52,8 +52,8 @@ def ising_problem(n, kappa):
     n = int(n)
     if n < 2:
         raise ValueError("n must be at least 2")
-    if not kappa > 1:
-        raise ValueError("kappa must be greater than 1")
+    if not (kappa > 1 and np.isfinite(kappa)):
+        raise ValueError(f"kappa must be finite and greater than 1, got {kappa!r}")
     kappa = float(kappa)
     eta = n * (kappa + 1.0) / (kappa - 1.0)
     zeta = n + eta

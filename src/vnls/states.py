@@ -354,9 +354,13 @@ def save_checkpoint(psi, path):
 
 
 def load_checkpoint(path):
-    """Exact inverse of save_checkpoint (parameters round-trip bitwise)."""
+    """Exact inverse of save_checkpoint (parameters round-trip bitwise);
+    a file without one of its fields raises ValueError naming it."""
     path = Path(path)
     with np.load(path, allow_pickle=False) as data:
+        for name in ("flavor", "n", "m", "seed", "params"):
+            if name not in data.files:
+                raise ValueError(f"checkpoint {path} has no {name!r} field")
         flavor = str(data["flavor"])
         n = int(data["n"])
         m = int(data["m"])

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from vnls import PauliSum, PauliTerm, random_pauli_problem, save_operator, save_problem
+from vnls import (PauliSum, PauliTerm, load_checkpoint, random_pauli_problem,
+                  save_operator, save_problem)
 from vnls.cli import CSV_HEADER, main
 
 FAST = ["--epochs", "4", "--batch-size", "64", "--chains", "2"]
@@ -254,6 +255,86 @@ def test_sweep_lr_axis_scales_epochs(tmp_path):
     assert code == 0
     assert len(read_rows(tmp_path / "sweep_lr0.005.csv")) == 1 + 6
     assert len(read_rows(tmp_path / "sweep_lr0.01.csv")) == 1 + 3
+
+
+@pytest.mark.parametrize("axis,values", [("batch", [64, 0]),
+                                         ("lr", [0.01, "inf"]),
+                                         ("lr", [0.01, 5e-324])])
+def test_sweep_checks_every_value_before_the_first_run(tmp_path, capsys, axis, values):
+    # 5e-324 is a valid learning rate whose epoch count overflows
+    code, stdout, err = run(["sweep", "--ising", 3, 10, "--axis", axis,
+                             "--values", *values, "--epochs", 4, "--batch-size", 64,
+                             "--chains", 2, "-o", tmp_path / "sweep.csv"], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+def test_sweep_saves_one_checkpoint_per_value(tmp_path):
+    code = run(["sweep", "--ising", 3, 10, "--axis", "batch", "--values", 64, 128,
+                "--epochs", 4, "--batch-size", 64, "--chains", 2,
+                "-o", tmp_path / "sweep.csv", "--save-checkpoint", tmp_path / "m.npz"])
+    assert code == 0
+    for tag in ("batch64", "batch128"):
+        psi = load_checkpoint(tmp_path / f"m_{tag}.npz")
+        assert psi.n == 3 and psi.flavor == "real"
+
+
+def test_sweep_runs_are_solve_runs(tmp_path, capsys):
+    # value i runs as solve would with seed + i and the scaled epoch count
+    code, stdout, _ = run(["sweep", "--ising", 4, 10, "--axis", "lr",
+                           "--values", 0.005, 0.02, "--epochs", 8, "--batch-size", 64,
+                           "--chains", 2, "--seed", 3, "-o", tmp_path / "sweep.csv",
+                           "--save-checkpoint", tmp_path / "m.npz"], capsys)
+    assert code == 0
+    for seed, lr, epochs, tag in ((3, 0.005, 8, "lr0.005"), (4, 0.02, 2, "lr0.02")):
+        out = tmp_path / f"sweep_{tag}.csv"
+        rows = mask_wall_ms(out)
+        code, solo_out, _ = run(["solve", "--ising", 4, 10, "--lr", lr, "--epochs", epochs,
+                                 "--batch-size", 64, "--chains", 2, "--seed", seed,
+                                 "-o", out, "--save-checkpoint", tmp_path / "solo.npz"],
+                                capsys)
+        assert code == 0 and solo_out in stdout
+        assert mask_wall_ms(out) == rows
+        assert np.array_equal(load_checkpoint(tmp_path / f"m_{tag}.npz").get_params(),
+                              load_checkpoint(tmp_path / "solo.npz").get_params())
+
+
+def test_non_finite_coefficient_in_a_file_exits_2_naming_the_line(tmp_path, capsys):
+    op_path = tmp_path / "op.txt"
+    op_path.write_text("n=2\nnan X0\n0.5 Z1\n", encoding="utf-8")
+    code, _, err = run(["vqmc", "--operator", op_path, "-o", tmp_path / "x.csv"]
+                       + FAST, capsys)
+    assert code == 2 and "line 2: coefficient must be finite" in err
+    problem_path = tmp_path / "p.txt"
+    problem_path.write_text("n=1\ninf X0\n2.0 I\nb dense\n1 0\n1 0\n",
+                            encoding="utf-8")
+    code, _, err = run(["oracle", "--problem", problem_path], capsys)
+    assert code == 2 and "line 2: coefficient must be finite" in err
+
+
+def test_non_finite_kappa_exits_2(capsys):
+    code, _, err = run(["solve", "--ising", 4, "inf", "-o", "/tmp/never.csv"], capsys)
+    assert code == 2 and "kappa must be finite" in err
+    code, stdout, err = run(["ising-scan", 3, 4, "--kappas", 10, "inf"], capsys)
+    assert code == 2 and "kappa must be finite" in err
+    assert stdout == ""
+
+
+def test_oracle_refuses_a_checkpoint_of_another_size(tmp_path, capsys):
+    ck = tmp_path / "model.npz"
+    assert run(["solve", "--ising", 4, 10, "-o", tmp_path / "run.csv",
+                "--save-checkpoint", ck] + FAST) == 0
+    capsys.readouterr()
+    code, stdout, err = run(["oracle", "--ising", 5, 10, "--checkpoint", ck], capsys)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert "shape (16,) for an operator on 5 qubits" in err and stdout == ""
+
+
+def test_oracle_refuses_a_checkpoint_without_a_field(tmp_path, capsys):
+    ck = tmp_path / "model.npz"
+    np.savez(ck, n=4, m=8, seed=0, params=np.zeros(44))
+    code, _, err = run(["oracle", "--ising", 4, 10, "--checkpoint", ck], capsys)
+    assert code == 2 and len(err.splitlines()) == 1 and "'flavor'" in err
 
 
 def test_ising_scan_fidelity_monotone(tmp_path, capsys):

@@ -829,14 +829,24 @@ def test_fidelity_tracking_past_dense_limit_is_refused(kind):
             train_vqmc(prob.a, init_gaussian(4, seed=0), config)
 
 
-def test_imaginary_mean_energy_warns_once():
-    # i * I is not Hermitian: every local energy is exactly i, with no noise
-    h = identity_sum(3, 1j)
-    with pytest.warns(UserWarning, match="imaginary part") as caught:
-        records = train_vqmc(h, init_gaussian(3, seed=0), TrainConfig(
+def test_vqmc_refuses_non_hermitian_operator():
+    # i * I is not Hermitian: every local energy would be exactly i
+    with pytest.raises(ValueError, match="Hermitian"):
+        train_vqmc(identity_sum(3, 1j), init_gaussian(3, seed=0), TrainConfig(
             epochs=3, batch_size=32, chains=2, seed=0))
-    assert len(caught) == 1
-    assert [r.loss_imag for r in records] == [1.0, 1.0, 1.0]
+
+
+def test_trainers_refuse_a_model_sized_for_another_operator():
+    # past 16 qubits the RBM's byte tables would read an n = 20 index as an
+    # n = 18 one and train without complaint
+    config = TrainConfig(epochs=2, batch_size=64)
+    with pytest.raises(ValueError, match="psi is on 18 qubits but the operator on 20"):
+        train_vqmc(ising_problem(20, 10).a, init_gaussian(18, seed=1), config)
+    prob = ising_problem(4, 10.0)
+    with pytest.raises(ValueError, match="psi is on 3 qubits but the operator on 4"):
+        train_vnls(prob.a, prob.b, init_gaussian(3, seed=1), config)
+    with pytest.raises(ValueError, match="b is on 3 qubits but the operator on 4"):
+        train_vnls(prob.a, DenseState(np.ones(8)), init_gaussian(4, seed=1), config)
 
 
 def test_sr_state_defaults_are_train_config_defaults():

@@ -194,6 +194,19 @@ def test_parse_error_reports_line_number():
         parse_pauli_sum("1 X0\n1 Z0\n1 Q0", 2)
 
 
+@pytest.mark.parametrize("coefficient", [float("nan"), float("inf"),
+                                         complex(1.0, float("-inf"))])
+def test_term_refuses_non_finite_coefficient(coefficient):
+    with pytest.raises(ValueError, match="finite"):
+        PauliTerm(coefficient, {0: "X"}, 2)
+
+
+@pytest.mark.parametrize("line", ["nan X0", "inf Z1", "1.0 -inf Y0"])
+def test_parse_refuses_non_finite_coefficient_naming_the_line(line):
+    with pytest.raises(ParseError, match="line 2: coefficient must be finite"):
+        parse_pauli_sum("1 X0\n" + line, 2)
+
+
 def test_operator_file_round_trip(tmp_path, rng):
     h = random_sum(rng, 4, 5, hermitian=False)
     path = tmp_path / "op.txt"

@@ -398,6 +398,21 @@ def test_check_error_bound_accepts_precomputed_pieces():
     assert rep.bound == full.bound and rep.fidelity == full.fidelity
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, v: exact_solve(p.a, v),
+    lambda p, v: exact_loss(p.a, p.b, v),
+    lambda p, v: rayleigh_quotient(p.a, v),
+    lambda p, v: check_error_bound(p.a, p.b, v),
+    lambda p, v: check_error_bound(p.a, p.b, p.b, solution=v),
+])
+@pytest.mark.parametrize("state", [np.ones(16), DenseState(np.ones(16)),
+                                   init_gaussian(4, seed=0)])
+def test_state_of_another_size_is_refused(call, state):
+    # a model or vector over 2^4 amplitudes against an operator on 5 qubits
+    with pytest.raises(ValueError, match=r"shape \(16,\) for an operator on 5 qubits"):
+        call(ising_problem(5, 10.0), state)
+
+
 def test_zz_entry_value_by_hand():
     # entry x of sum_j Z_j Z_{j+1} b_hat is 2^{-n/2} (agree(x) - disagree(x));
     # at x = 0b0101 (n=4) all three adjacent pairs disagree: 0.25 * (0-3)

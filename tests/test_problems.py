@@ -102,6 +102,12 @@ def test_ising_argument_validation():
         ising_problem(4, 0.5)
 
 
+@pytest.mark.parametrize("kappa", [float("inf"), float("nan")])
+def test_ising_refuses_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="finite and greater than 1"):
+        ising_problem(4, kappa)
+
+
 def test_linear_problem_validation():
     a = PauliSum([PauliTerm(1.0, {0: "Z"}, 2)], 2)
     with pytest.raises(ValueError):

@@ -298,3 +298,10 @@ def test_checkpoint_round_trip_exact(tmp_path, rng, flavor):
     assert np.array_equal(again.get_params(), psi.get_params())
     xs = np.arange(16)
     assert np.array_equal(again.log_amp(xs), psi.log_amp(xs))
+
+
+def test_checkpoint_without_a_field_names_it(tmp_path):
+    path = tmp_path / "model.npz"
+    np.savez(path, n=4, m=8, seed=0, params=np.zeros(44))
+    with pytest.raises(ValueError, match="no 'flavor' field"):
+        load_checkpoint(path)
