@@ -289,7 +289,8 @@ def _add_run_options(sub):
     sub.add_argument("--ridge", type=float, help="absolute Fisher ridge")
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
-    sub.add_argument("--chains", type=int)
+    sub.add_argument("--chains", type=int,
+                     help="Metropolis chains, where the basis is too large to tabulate")
     sub.add_argument("--burn-in", dest="burn_in", type=int,
                      help="flips before each chain's first sample; burn-in runs "
                           "once per training run (default 10*n*n)")

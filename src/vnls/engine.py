@@ -21,24 +21,25 @@ other model is read as log psi with one shared magnitude shift, which
 cancels in every ratio the estimators form, so nothing here can overflow
 on its own.
 
-When the basis is small against the proposals an epoch makes (2^n <=
-c * batch_size * thin, with c set by the model's flavor; see _tabulate),
-training evaluates log psi over the whole basis once per parameter set, in
-one log_amp call, and hands that table to the sampler, the energy functions
-and the fidelity check in place of the model.  The chains walk the table one
-by one (see sampling).  Up to n = DENSE_LIMIT, the cap of to_sparse, the
-energies come from whole-basis products with the operator's CSR matrix:
-psi divided by its largest magnitude over the basis, then A psi and
-A^2 psi = A (A psi) for the solver, or H psi, gathered at the pi samples,
-with Ehat still the mean over the beta samples.  Past it the row
-estimators read the table as they would the model; a run's dense_limit
-bounds only the oracle and fidelity tracking.  A state's value no longer
-depends on which other states share a model call, so tabulated runs are
-bit for bit the same at any chain count.  Their samples and acceptances
-are those of the model path, and past DENSE_LIMIT so are their energies,
-as the RBM gives every state the same value in any batch; up to it the
-whole-basis products sum in another order, so losses differ from a
-model-path run in the last bits.
+When the basis is small against the proposals an epoch would make
+(2^n <= c * batch_size * thin, with c set by the model's flavor; see
+_tabulate), training evaluates log psi over the whole basis once per
+parameter set, in one log_amp call, draws the epoch's pi samples from that
+table, and hands it to the energy functions and the fidelity check in
+place of the model.  The draw is exact, by inverse CDF over the table (see
+sampling), with no chains: a tabulated run has no burn-in, keeps no chain
+states, and records an acceptance of 1.0, as an independence sampler
+whose proposal is pi accepts every draw; chains and burn_in act only on
+the model path.  Up to n = DENSE_LIMIT, the cap of to_sparse, the energies
+come from whole-basis products with the operator's CSR matrix: psi
+divided by its largest magnitude over the basis, then A psi and A^2 psi =
+A (A psi) for the solver, or H psi, gathered at the pi samples, with Ehat
+still the mean over the beta samples.  Past it the row estimators read the
+table as they would the model, and give the same bits, as the RBM gives
+every state the same value in any batch; up to it the whole-basis
+products sum in another order, so the energies differ from the row
+estimators' in the last bits.  A run's dense_limit bounds only the oracle
+and fidelity tracking.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from .errors import CapabilityError
 # retires that replay
 from .operators import (DENSE_LIMIT, apply_to_state, expand_rows,  # noqa: F401
                         to_sparse)
-from .sampling import (_BasisTable, _beta_cdf, _draw_beta, acceptance_stats,
-                       default_thin, metropolis_sample)
+from .sampling import (_BasisTable, _beta_cdf, _draw_beta, _draw_pi,
+                       acceptance_stats, default_thin, metropolis_sample)
 from .states import DenseState, _is_number, dense_vector
 
 _PI_STREAM = 0
@@ -77,6 +78,10 @@ _BETA_STREAM = 1
 #   complex  r = 1.1: 203-234 / 401-480 ms, r = 2.1: 323-374 / 403-531 ms,
 #            r = 2.8: 150-185 / 162-195 ms, r = 3.0: 298-368 / 302-324 ms,
 #            r = 3.8: 277-356 / 244-313 ms.
+# These figures were measured when the table was sampled by Metropolis
+# chains walking it one flip at a time.  Tabulated runs now draw pi exactly
+# (see sampling), which costs less than the walk did; c has not been
+# measured again since, and keeps its values.
 _TABLE_COST = {"real": 6, "complex": 3}
 
 
@@ -462,7 +467,8 @@ class TrainConfig:
 
     epochs: int = 1000
     batch_size: int = 1024
-    chains: int = 8
+    chains: int = 8                 # chains and burn_in act only past the table
+                                    # rule (see _tabulate)
     burn_in: Optional[int] = None   # flips before a chain's first sample, applied
                                     # once per run (epoch 0); None -> 10*n*n
     thin: Optional[int] = None      # None -> n rounded up to an odd number
@@ -527,17 +533,21 @@ def _train(psi, config, energy_fn, target):
     config.validate()
     records = []
     last_loss = None
-    chain_states = None  # the chains persist across epochs: burn-in runs once
+    chain_states = None  # model-path chains persist across epochs: burn-in runs once
     source = None  # amplitude source for the current parameters, when built
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         if source is None:
             source = _tabulate(psi, config)
-        batch, chain_states = metropolis_sample(
-            source, psi.n, config.batch_size, chains=config.chains,
-            burn_in=config.burn_in if chain_states is None else None,
-            thin=config.thin, seed=(config.seed, _PI_STREAM, epoch),
-            start=chain_states)
+        seed = (config.seed, _PI_STREAM, epoch)
+        if isinstance(source, _BasisTable):
+            batch, acceptance = _draw_pi(source, config.batch_size, seed), 1.0
+        else:
+            batch, chain_states = metropolis_sample(
+                source, psi.n, config.batch_size, chains=config.chains,
+                burn_in=config.burn_in if chain_states is None else None,
+                thin=config.thin, seed=seed, start=chain_states)
+            acceptance = acceptance_stats(chain_states)
         l = energy_fn(source, batch, epoch)
         l_hat = complex(np.mean(l))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
@@ -570,7 +580,7 @@ def _train(psi, config, energy_fn, target):
         records.append(EpochRecord(
             epoch=epoch, loss=float(l_hat.real), loss_var=variance,
             grad_norm=float(np.linalg.norm(g)),
-            acceptance=acceptance_stats(chain_states), fidelity=fid,
+            acceptance=acceptance, fidelity=fid,
             wall_ms=(time.perf_counter() - t0) * 1e3,
             loss_imag=float(l_hat.imag), sr_fallback=fallback))
     return records

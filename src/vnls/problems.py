@@ -9,6 +9,7 @@ side is an eigenvector of the dominant part.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -129,9 +130,12 @@ def save_problem(problem, path):
 
 def _parse_floats(parts, lineno, what):
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise ParseError(f"line {lineno}: bad {what}: {' '.join(parts)!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"line {lineno}: {what} must be finite: {' '.join(parts)!r}")
+    return values
 
 
 def load_problem(path):
@@ -144,10 +148,7 @@ def load_problem(path):
     sparse_vals = []
     for lineno, line in body:
         if kappa is None and mode is None and not terms and line.startswith("kappa="):
-            try:
-                kappa = float(line[6:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad kappa in {line!r}") from None
+            kappa, = _parse_floats([line[6:]], lineno, "kappa")
             continue
         if line == "b dense":
             if mode is not None:

@@ -1,16 +1,17 @@
 """Born-distribution samplers.
 
 pi(x) = |psi(x)|^2 / <psi|psi> is sampled by single-bit-flip Metropolis
-chains, run in lockstep on a model and one by one on a table of log psi;
-beta(x) = |b(x)|^2 / <b|b> is sampled exactly by inverse CDF over the
-nonzero support of the stored vector b.
+chains run in lockstep on a model, or exactly by inverse CDF over a table
+of log psi on the whole basis; beta(x) = |b(x)|^2 / <b|b> is sampled
+exactly by inverse CDF over the nonzero support of the stored vector b.
+Both inverse-CDF draws share one helper.
 
 A chain either starts fresh, from a uniformly drawn state on the support
 followed by burn-in, or is warm-started from the ChainState an earlier
 call returned; a warm-started chain draws no start state and, by default,
 takes no burn-in, so training pays burn-in once per run, not per epoch.
 
-A model's lockstep steps are scored in windows (pre-fetching, Brockwell, J.
+The lockstep steps are scored in windows (pre-fetching, Brockwell, J.
 Comput. Graph. Stat. 15:246, 2006), of two kinds.  A path window takes
 every chain's next K proposals along the path on which all of them are
 accepted and scores them in one log_prob call; the chains then advance to
@@ -37,28 +38,26 @@ states are exactly those of one-proposal-at-a-time Metropolis, as
 log_prob gives a state the same value whatever else is in the call.
 DenseState and Rbm both do, at any chain count.
 
-Where the basis is small against an epoch's proposals, training passes a
-_BasisTable of log psi over the whole basis in place of the model (see
-vnls.engine._tabulate).  A read there is a list lookup, far cheaper than
-the numpy calls of a window, so the chains take no windows: each walks its
-own steps in a plain Python loop over the table's log pi, in chain order,
-with the same draws and comparisons.  The samples, acceptances and chain states are
-again those of one-proposal-at-a-time Metropolis, and as every value comes
-from one whole-basis call, such runs are bit for bit the same for any
-chain count.
+Where the basis is small against an epoch's proposals, training holds a
+_BasisTable of log psi over the whole basis (see vnls.engine._tabulate),
+and pi is then known exactly: _draw_pi takes its samples by inverse CDF
+over the table, as beta's are, with no chains.  The draws are independent,
+and as every value comes from one whole-basis call, a tabulated training
+run is bit for bit the same at any chain count and burn-in.  A table passed
+to metropolis_sample is read through log_prob like any model.
 
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
 numpy's SeedSequence spawn keys, and all of a chain's draws happen in a
 fixed order (start state unless warm-started, flip positions, acceptance
 uniforms).  Chains are merged in chain order, never by completion time.
+An inverse-CDF draw takes one generator, on (entropy, *prefix).
 
 Exact enumeration of pi and beta (for small n) lives here too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -151,12 +150,11 @@ class _BasisTable:
 
     Training builds it where the basis is small against an epoch's
     proposals (see vnls.engine._tabulate) and passes it in place of the
-    model: the sampler walks its chains over ``log_probs`` one by one, and
-    the trainers' local energies take whole-basis products with
-    ``log_amps`` up to operators.DENSE_LIMIT.  ``log_amp`` and ``log_prob``
-    gather from the table, for the chains' start states, dense_vector and
-    the row estimators past DENSE_LIMIT, which read it as they would the
-    model.  It holds 24 bytes per basis state.
+    model: _draw_pi samples pi from ``log_probs``, and the trainers'
+    local energies take whole-basis products with ``log_amps`` up to
+    operators.DENSE_LIMIT.  ``log_amp`` and ``log_prob`` gather from the
+    table, for dense_vector and the row estimators past DENSE_LIMIT, which
+    read it as they would the model.  It holds 24 bytes per basis state.
     """
 
     def __init__(self, psi):
@@ -187,11 +185,10 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     warm-started ones.  thin defaults to about one sweep but is kept odd: a
     bit-flip walk alternates popcount parity whenever it moves, so an even
     interval would lock a rarely-rejecting chain onto a single parity
-    class.  A model's proposals are scored in path windows along the
-    all-accept path, or in proposal trees of depth up to 4 where the chains
-    rarely all accept; a _BasisTable's chains are walked one by one (see
-    the module docstring).  Either way the samples, acceptances and chain
-    states are those of one-proposal-at-a-time Metropolis.  Returns
+    class.  Proposals are scored in path windows along the all-accept
+    path, or in proposal trees of depth up to 4 where the chains rarely
+    all accept; the samples, acceptances and chain states are those of
+    one-proposal-at-a-time Metropolis.  Returns
     (SampleBatch, [ChainState per chain]).
     """
     if burn_in is None:
@@ -234,14 +231,10 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     with np.errstate(divide="ignore"):
         log_u = np.log(uniforms)
     flips = np.int64(1) << positions
-    if isinstance(psi, _BasisTable):
-        indices, xs, lp, accepted = _walk_chains(
-            psi.log_probs, xs, lp, flips, log_u, burn_in, thin, counts)
-    else:
-        # the all-accept share is seeded from the acceptance of the start chains
-        share = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
-        indices, xs, lp, accepted = _run_windows(
-            psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts, share)
+    # the all-accept share is seeded from the acceptance of the start chains
+    share = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
+    indices, xs, lp, accepted = _run_windows(
+        psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts, share)
 
     log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
                 if k else np.zeros(0, np.complex128))
@@ -249,44 +242,6 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
                          int(chain_steps[c])) for c in range(chains)]
     return batch, states
-
-
-def _walk(log_probs, x, lp, flips, log_u, burn_in, thin, count):
-    """One chain's steps, one proposal at a time, over a list of log pi:
-    ``burn_in`` steps, then ``count`` runs of ``thin`` steps, each ending in
-    a recorded state.
-
-    Returns (recorded states, final state, its log pi, accepted steps).
-    """
-    steps = zip(flips, log_u)
-    recorded = []
-    accepted = 0
-    for length in itertools.chain((burn_in,), itertools.repeat(thin, count)):
-        for flip, lu in itertools.islice(steps, length):
-            y = x ^ flip
-            ly = log_probs[y]
-            if lu < ly - lp:
-                x, lp = y, ly
-                accepted += 1
-        recorded.append(x)
-    return recorded[1:], x, lp, accepted
-
-
-def _walk_chains(log_probs, xs, lp, flips, log_u, burn_in, thin, counts):
-    """Every chain walked on its own, in chain order, over the log pi of a
-    _BasisTable.
-
-    A table read is a list lookup, so a plain loop costs less than the
-    numpy calls a window makes.  Takes ``log_probs`` in place of psi and
-    returns what _run_windows does.
-    """
-    log_probs = log_probs.tolist()
-    recorded, xs, lp, accepted = zip(*(
-        _walk(log_probs, x, l, f, u, burn_in, thin, count)
-        for x, l, f, u, count in zip(xs.tolist(), lp.tolist(), flips.tolist(),
-                                     log_u.tolist(), counts)))
-    indices = np.array(list(itertools.chain.from_iterable(recorded)), dtype=np.int64)
-    return indices, xs, lp, accepted
 
 
 @np.errstate(invalid="ignore")  # -inf - -inf past a zero of psi
@@ -438,12 +393,33 @@ def _beta_cdf(b):
 def _draw_beta(b, support_cdf, k, seed):
     """sample_beta with b's support and CDF from _beta_cdf(b)."""
     support, cdf = support_cdf
-    rng = np.random.default_rng(seed_seq(seed))
-    u = rng.random(k) * cdf[-1]
-    pos = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
-    indices = support[pos].astype(np.int64)
+    indices = support[_inverse_cdf(cdf, k, seed)].astype(np.int64)
     return SampleBatch(indices=indices, source="beta",
                        log_amps=np.log(b.amplitudes[indices]))
+
+
+def _draw_pi(table, k, seed):
+    """k exact, independent draws from pi over a _BasisTable.
+
+    Inverse CDF over the running sum of exp(log_probs - max), so the
+    largest weight is 1 and none overflows; a state whose weight is zero,
+    or underflows to zero, is never drawn.  log_amps are gathered from the
+    table.
+    """
+    log_probs = table.log_probs
+    cdf = np.cumsum(np.exp(log_probs - log_probs.max()))
+    indices = _inverse_cdf(cdf, k, seed).astype(np.int64)
+    return SampleBatch(indices=indices, source="pi", log_amps=table.log_amps[indices])
+
+
+def _inverse_cdf(cdf, k, seed):
+    """Positions of k draws from the weights whose running sum is ``cdf``,
+    on one generator for ``seed``.  A uniform u in [0, cdf[-1]) lands at
+    the first position whose running sum exceeds it, so a position whose
+    weight is zero is never drawn."""
+    rng = np.random.default_rng(seed_seq(seed))
+    u = rng.random(k) * cdf[-1]
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 def enumerate_born(psi, limit=DENSE_LIMIT):

@@ -159,11 +159,13 @@ def test_solve_oracle_every_needs_small_n():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_solve_exits_2_with_diagnosis(tmp_path, capsys):
-    # not normalised: the RBM's amplitudes overflow in epoch 2 at this step
+    # not normalised: the RBM's amplitudes overflow in epoch 2 at this step.
+    # 2^12 states at batch 32 are past the table rule, so Metropolis chains
+    # draw pi; exact draws from a table would not land where it overflows
     path = tmp_path / "p.txt"
-    save_problem(random_pauli_problem(10, terms=40, seed=0), path)
+    save_problem(random_pauli_problem(12, terms=40, seed=0), path)
     code, _, err = run(["solve", "--problem", path, "--lr", 0.02, "--epochs", 10,
-                        "--batch-size", 128, "--chains", 4, "--seed", 0,
+                        "--batch-size", 32, "--chains", 4, "--seed", 0,
                         "-o", tmp_path / "run.csv"], capsys)
     assert code == 2
     assert "training diverged at epoch 2" in err
@@ -306,10 +308,16 @@ def test_non_finite_coefficient_in_a_file_exits_2_naming_the_line(tmp_path, caps
                        + FAST, capsys)
     assert code == 2 and "line 2: coefficient must be finite" in err
     problem_path = tmp_path / "p.txt"
-    problem_path.write_text("n=1\ninf X0\n2.0 I\nb dense\n1 0\n1 0\n",
-                            encoding="utf-8")
-    code, _, err = run(["oracle", "--problem", problem_path], capsys)
-    assert code == 2 and "line 2: coefficient must be finite" in err
+    for text, message in (("n=1\ninf X0\n2.0 I\nb dense\n1 0\n1 0\n",
+                           "line 2: coefficient must be finite"),
+                          ("n=1\nkappa=nan\n2.0 I\nb dense\n1 0\n1 0\n",
+                           "line 2: kappa must be finite"),
+                          ("n=1\n2.0 I\nb dense\n1 0\ninf 0\n",
+                           "line 5: amplitude must be finite")):
+        problem_path.write_text(text, encoding="utf-8")
+        code, stdout, err = run(["oracle", "--problem", problem_path], capsys)
+        assert code == 2 and message in err
+        assert stdout == ""
 
 
 def test_non_finite_kappa_exits_2(capsys):

@@ -342,9 +342,15 @@ def test_train_vnls_identity_problem_fast():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_stops_with_diagnosis():
     # an operator that is not normalised: at this step size the parameters
-    # reach ~2e5 after two SR steps and the amplitudes overflow in epoch 2
-    prob = random_pauli_problem(10, terms=40, seed=0)
-    psi = init_gaussian(10, seed=0, flavor="real")
+    # reach ~1e6 after two SR steps, and in epoch 2 a Metropolis chain sits
+    # where psi's neighbours overflow against it.  At batch 32, 2^12 states
+    # are past the table rule; exact draws from a table put no sample
+    # there, and the same run at n = 10 collapses onto one state instead
+    prob = random_pauli_problem(12, terms=40, seed=0)
+    psi = init_gaussian(12, seed=0, flavor="real")
+    config = TrainConfig(epochs=10, batch_size=32, chains=4, learning_rate=0.02,
+                         seed=0)
+    assert engine._tabulate(psi, config) is psi
     written = []
     set_params = psi.set_params
 
@@ -354,8 +360,7 @@ def test_diverging_training_stops_with_diagnosis():
 
     psi.set_params = record
     with pytest.raises(FloatingPointError) as err:
-        train_vnls(prob.a, prob.b, psi, TrainConfig(
-            epochs=10, batch_size=128, chains=4, learning_rate=0.02, seed=0))
+        train_vnls(prob.a, prob.b, psi, config)
     msg = str(err.value)
     assert "epoch 2: mean local energy is not finite" in msg
     last_loss = float(msg.split("last finite loss ")[1].split(")")[0])
@@ -497,7 +502,8 @@ def test_extreme_rbm_energies_finite_at_peak():
 
 
 def _recorded_train(monkeypatch, psi, prob, config):
-    """Run train_vnls, recording each epoch's sampler start and result."""
+    """Run train_vnls on the model path, recording each epoch's sampler
+    start and result."""
     calls = []
     real = engine.metropolis_sample
 
@@ -507,6 +513,7 @@ def _recorded_train(monkeypatch, psi, prob, config):
         return batch, states
 
     monkeypatch.setattr(engine, "metropolis_sample", recording)
+    monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
     train_vnls(prob.a, prob.b, psi, config)
     return calls
 
@@ -646,48 +653,44 @@ def _counted(psi):
     return calls
 
 
-def _train_with_and_without_table(monkeypatch, kind, flavor, config):
-    """(records, theta) of one n = 10 run as _tabulate picks its source, then
-    of the same run on the model itself; wall times zeroed."""
+def _train_n10(kind, flavor, config):
+    """(records, theta) of one n = 10 run; wall times zeroed."""
     prob = ising_problem(10, 10.0)
-
-    def run():
-        psi = init_gaussian(10, seed=5, flavor=flavor)
-        if kind == "vnls":
-            records = train_vnls(prob.a, prob.b, psi, config)
-        else:
-            records = train_vqmc(prob.a, psi, config)
-        for r in records:
-            r.wall_ms = 0.0
-        return records, psi.get_params()
-
-    tabulated = run()
-    monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
-    return tabulated, run()
+    psi = init_gaussian(10, seed=5, flavor=flavor)
+    if kind == "vnls":
+        records = train_vnls(prob.a, prob.b, psi, config)
+    else:
+        records = train_vqmc(prob.a, psi, config)
+    for r in records:
+        r.wall_ms = 0.0
+    return records, psi.get_params()
 
 
 @pytest.mark.parametrize("flavor", ["real", "complex"])
 @pytest.mark.parametrize("kind", ["vnls", "vqmc"])
 def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
+    # energies from whole-basis products over the table, against the row
+    # estimators reading the same table past a lowered DENSE_LIMIT: the
+    # same draws, and estimates that agree to rounding, as the products sum
+    # in another order
     config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
                          seed=3, oracle_every=2 if kind == "vnls" else 0)
-    (tabulated, theta), (plain, theta_plain) = _train_with_and_without_table(
-        monkeypatch, kind, flavor, config)
-    # the same draws and decisions; the whole-basis energies sum in another
-    # order, so the estimates agree to rounding
+    whole, theta = _train_n10(kind, flavor, config)
+    monkeypatch.setattr(engine, "DENSE_LIMIT", 9)
+    rows, theta_rows = _train_n10(kind, flavor, config)
     for field in ("epoch", "acceptance", "sr_fallback"):
-        assert [getattr(r, field) for r in tabulated] == [getattr(r, field) for r in plain]
+        assert [getattr(r, field) for r in whole] == [getattr(r, field) for r in rows]
     for field in ("loss", "loss_var", "grad_norm", "loss_imag", "fidelity"):
-        got = [getattr(r, field) for r in tabulated]
-        want = [getattr(r, field) for r in plain]
+        got = [getattr(r, field) for r in whole]
+        want = [getattr(r, field) for r in rows]
         assert [v is None for v in got] == [v is None for v in want]
         np.testing.assert_allclose([v for v in got if v is not None],
                                    [v for v in want if v is not None], rtol=1e-10)
     # relative to the largest entry: an entry near zero may differ by an ulp of it
-    np.testing.assert_allclose(theta, theta_plain, rtol=1e-10,
-                               atol=1e-10 * np.abs(theta_plain).max())
+    np.testing.assert_allclose(theta, theta_rows, rtol=1e-10,
+                               atol=1e-10 * np.abs(theta_rows).max())
     if kind == "vnls":  # fidelity-built tables are handed on, others built lazily
-        assert [r.fidelity is not None for r in plain] == [True, False, True, True]
+        assert [r.fidelity is not None for r in rows] == [True, False, True, True]
 
 
 @pytest.mark.parametrize("flavor", ["real", "complex"])
@@ -695,16 +698,57 @@ def test_basis_table_leaves_training_unchanged(monkeypatch, kind, flavor):
 def test_table_past_dense_limit_leaves_training_bit_identical(monkeypatch, kind,
                                                               flavor):
     # past DENSE_LIMIT the row estimators read the table as they would the
-    # model, whose states take the same values in any batch
+    # model, whose states take the same values in any batch: a tabulated run
+    # is the same whether its rows read the table or the model
     monkeypatch.setattr(engine, "DENSE_LIMIT", 9)
     config = TrainConfig(epochs=4, batch_size=256, chains=8, learning_rate=0.1,
                          seed=3)
     assert isinstance(engine._tabulate(init_gaussian(10, flavor=flavor), config),
                       engine._BasisTable)
-    (tabulated, theta), (plain, theta_plain) = _train_with_and_without_table(
-        monkeypatch, kind, flavor, config)
-    assert tabulated == plain
-    assert np.array_equal(theta, theta_plain)
+    tabulated = _train_n10(kind, flavor, config)
+    tabulate = engine._tabulate
+    model_reads = []
+
+    def reading_the_model(psi, config):
+        table = tabulate(psi, config)
+
+        def log_amp(x):
+            model_reads.append(np.size(x))
+            return psi.log_amp(x)
+
+        table.log_amp = log_amp
+        return table
+
+    monkeypatch.setattr(engine, "_tabulate", reading_the_model)
+    records, theta = _train_n10(kind, flavor, config)
+    assert len(model_reads) == config.epochs
+    assert records == tabulated[0]
+    assert np.array_equal(theta, tabulated[1])
+
+
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_tabulated_run_is_the_same_at_any_chains_and_burn_in(kind):
+    runs = [_train_n10(kind, "real", TrainConfig(
+        epochs=3, batch_size=256, chains=chains, burn_in=burn_in,
+        learning_rate=0.1, seed=3, oracle_every=1 if kind == "vnls" else 0))
+        for chains, burn_in in ((8, None), (1, 0), (32, 500))]
+    for records, theta in runs[1:]:
+        assert records == runs[0][0]
+        assert np.array_equal(theta, runs[0][1])
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_tabulated_run_draws_exactly(monkeypatch, kind, flavor):
+    # pi is drawn by inverse CDF over the table, with no chains: an
+    # independence sampler whose proposal is pi accepts every draw
+    def refused(*args, **kwargs):
+        raise AssertionError("a tabulated run called metropolis_sample")
+
+    monkeypatch.setattr(engine, "metropolis_sample", refused)
+    config = TrainConfig(epochs=3, batch_size=256, learning_rate=0.1, seed=3)
+    records, _ = _train_n10(kind, flavor, config)
+    assert [r.acceptance for r in records] == [1.0] * 3
 
 
 @pytest.mark.parametrize("flavor, sigma", [("real", 0.1), ("complex", 0.1), ("real", 3.0)])

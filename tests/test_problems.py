@@ -221,6 +221,11 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     ("n=2\nb dense\n1.0 0.0 0.0\n", "line 3"),
     ("n=2\n1.0 Z0\n", "missing b"),
     ("", "missing n"),
+    ("n=1\nkappa=nan\n1.0 Z0\nb dense\n1 0\n1 0\n", "line 2: kappa must be finite"),
+    ("n=1\nkappa=inf\n1.0 Z0\nb dense\n1 0\n1 0\n", "line 2: kappa must be finite"),
+    ("n=1\n1.0 Z0\nb dense\n1 0\ninf 0\n", "line 5: amplitude must be finite"),
+    ("n=1\n1.0 Z0\nb dense\n1 nan\n1 0\n", "line 4: amplitude must be finite"),
+    ("n=1\n1.0 Z0\nb sparse\n0 1\n1 -inf\n", "line 5: amplitude must be finite"),
 ])
 def test_load_problem_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"

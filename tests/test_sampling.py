@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from vnls import (
     ChainState,
     DenseState,
     SampleBatch,
     acceptance_stats,
+    enumerate_born,
     init_gaussian,
     metropolis_sample,
+    random_pauli_problem,
     sample_beta,
 )
-from vnls.sampling import _WALK, _BasisTable, seed_seq
+from vnls.sampling import _WALK, _BasisTable, _draw_pi, seed_seq
 
 
 def frequencies(indices, dim):
@@ -163,6 +166,43 @@ def test_sample_beta_deterministic():
     assert np.array_equal(x.indices, z.indices)
 
 
+def test_sample_beta_draws_are_pinned():
+    # the inverse-CDF helper that pi's exact draws share gives beta these
+    # indices, as the beta sampler gave before the helper existed
+    b = DenseState(np.array([0.5, 0, -1.2, 0.3j, 0, 2.0, 0.1, 0, 1.0, -0.7,
+                             0, 0, 0.4, 0, 0.9, 0.05]))
+    assert sample_beta(b, 16, seed=(7, 1, 3)).indices.tolist() == [
+        5, 5, 5, 5, 2, 5, 9, 2, 8, 14, 5, 9, 8, 8, 14, 14]
+    b = random_pauli_problem(6, terms=4, seed=2).b
+    assert sample_beta(b, 12, seed=5).indices.tolist() == [
+        40, 47, 20, 9, 2, 19, 20, 2, 2, 61, 29, 9]
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_table_draws_match_born_weights(flavor):
+    psi = init_gaussian(6, sigma=0.15, seed=8, flavor=flavor)
+    batch = _draw_pi(_BasisTable(psi), 100_000, seed=(4, 0, 0))
+    support, weights = enumerate_born(psi)
+    assert support.tolist() == list(range(64))
+    expected = weights * len(batch)
+    assert expected.min() > 5  # every cell large enough for chi-squared
+    observed = np.bincount(batch.indices, minlength=64)
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert scipy.stats.chi2.sf(chi2, df=63) > 1e-3
+    assert batch.source == "pi"
+    assert np.array_equal(batch.log_amps, psi.log_amp(batch.indices))
+
+
+def test_table_draws_skip_zero_weights():
+    table = _BasisTable(init_gaussian(4, sigma=0.3, seed=1))
+    table.log_probs[[1, 5, 6, 12]] = -np.inf
+    batch = _draw_pi(table, 20_000, seed=3)
+    assert set(np.unique(batch.indices)) == set(range(16)) - {1, 5, 6, 12}
+    # only the seed sets the draws: one generator on (entropy, *prefix)
+    assert np.array_equal(batch.indices, _draw_pi(table, 20_000, seed=3).indices)
+    assert not np.array_equal(batch.indices, _draw_pi(table, 20_000, seed=4).indices)
+
+
 def test_warm_start_proposes_only_thin_times_count():
     psi = DenseState(np.arange(1.0, 9.0))
     _, fresh = metropolis_sample(psi, 3, 10, chains=4, thin=3, seed=1)
@@ -301,7 +341,7 @@ MODELS = {
     "complex-0.01": lambda: (_rbm("complex", 0.01), 6),
     "complex-0.12": lambda: (_rbm("complex", 0.12), 6),
     "complex-1": lambda: (_rbm("complex", 1.0), 6),
-    # tables of log psi over the basis, which the chains walk one by one
+    # tables of log psi over the basis, read through log_prob like a model
     "table-real-0.01": lambda: (_BasisTable(_rbm("real", 0.01)), 6),
     "table-real-1": lambda: (_BasisTable(_rbm("real", 1.0)), 6),
     "table-complex-0.12": lambda: (_BasisTable(_rbm("complex", 0.12)), 6),
@@ -342,19 +382,6 @@ def test_windows_reproduce_one_proposal_per_step(model, args):
         assert_same_run(warm, reference_metropolis(psi, n, seed=(21, call),
                                                    start=start, **warm_args))
         start = warm[1]
-
-
-def test_table_walk_reads_log_prob_only_for_start_states():
-    table = _BasisTable(init_gaussian(8, sigma=0.3, seed=2))
-    calls = []
-    read = table.log_prob
-    table.log_prob = lambda x: calls.append(np.size(x)) or read(x)
-    _, states = metropolis_sample(table, 8, 512, chains=8, seed=1)
-    assert calls == [1] * 8 + [8]  # each fresh start, then all starts at once
-    calls.clear()
-    batch, _ = metropolis_sample(table, 8, 512, chains=8, seed=2, start=states)
-    assert calls == [8]
-    assert len(batch) == 512
 
 
 class Recorder:
