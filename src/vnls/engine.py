@@ -24,7 +24,7 @@ on its own.
 When the basis is small against the proposals an epoch would make
 (2^n <= c * batch_size * thin, with c set by the model's flavor; see
 _tabulate), training evaluates log psi over the whole basis once per
-parameter set, in one log_amp call, draws the epoch's pi samples from that
+parameter set, by basis_log_amp, draws the epoch's pi samples from that
 table, and hands it to the energy functions and the fidelity check in
 place of the model.  The draw is exact, by inverse CDF over the table (see
 sampling), with no chains: a tabulated run has no burn-in, keeps no chain
@@ -79,9 +79,11 @@ _BETA_STREAM = 1
 #            r = 2.8: 150-185 / 162-195 ms, r = 3.0: 298-368 / 302-324 ms,
 #            r = 3.8: 277-356 / 244-313 ms.
 # These figures were measured when the table was sampled by Metropolis
-# chains walking it one flip at a time.  Tabulated runs now draw pi exactly
-# (see sampling), which costs less than the walk did; c has not been
-# measured again since, and keeps its values.
+# chains walking it one flip at a time, and built by gathering a row of
+# each byte table per state.  Tabulated runs now draw pi exactly (see
+# sampling), and Rbm.basis_log_amp builds the table by broadcasting, both
+# of which cost less than before; c has not been measured again since, and
+# keeps its values.
 _TABLE_COST = {"real": 6, "complex": 3}
 
 

@@ -146,26 +146,29 @@ def default_thin(n):
 
 
 class _BasisTable:
-    """log psi over the whole basis, from one log_amp call.
+    """log psi over the whole basis, from one basis_log_amp call.
 
     Training builds it where the basis is small against an epoch's
     proposals (see vnls.engine._tabulate) and passes it in place of the
     model: _draw_pi samples pi from ``log_probs``, and the trainers'
     local energies take whole-basis products with ``log_amps`` up to
     operators.DENSE_LIMIT.  ``log_amp`` and ``log_prob`` gather from the
-    table, for dense_vector and the row estimators past DENSE_LIMIT, which
-    read it as they would the model.  It holds 24 bytes per basis state.
+    table, for the row estimators past DENSE_LIMIT, which read it as they
+    would the model, and dense_vector reads ``basis_log_amp``.  It holds 24
+    bytes per basis state.
     """
 
     def __init__(self, psi):
         self.n = psi.n
-        self.log_amps = np.asarray(psi.log_amp(np.arange(1 << psi.n, dtype=np.int64)),
-                                   dtype=np.complex128)
+        self.log_amps = np.asarray(psi.basis_log_amp(), dtype=np.complex128)
         self.log_probs = 2.0 * self.log_amps.real
 
     def log_amp(self, x):
         out = self.log_amps[np.asarray(x, dtype=np.int64)]
         return complex(out) if out.ndim == 0 else out
+
+    def basis_log_amp(self):
+        return self.log_amps
 
     def log_prob(self, x):
         out = self.log_probs[np.asarray(x, dtype=np.int64)]

@@ -2,8 +2,12 @@
 explicitly stored dense vectors.
 
 Every model exposes the same oracle interface: log_amp / amp / log_prob on
-basis-index arrays, log_grad for the per-parameter derivatives of log psi,
-and a flat parameter vector ordered [a, c, W.ravel()] for the RBM.
+basis-index arrays, basis_log_amp for log psi over the whole basis, log_grad
+for the per-parameter derivatives of log psi, and a flat parameter vector
+ordered [a, c, W.ravel()] for the RBM.  The RBM forms its hidden angles
+from per-byte tables of its weights, by gathering rows for a list of
+indices and by broadcasting the tables against each other for the whole
+basis, and evaluates both with one formula, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ DEFAULT_ALPHA = 2.0
 DEFAULT_SIGMA = {"real": 0.01, "complex": 0.05}
 # Rows per Rbm evaluation block, so that its temporaries stay cache-sized
 _BLOCK = 1024
+# Most factors in (1, 2] in one product; 2^512 is far from overflow
+_PRODUCT_ROWS = 512
 # Row v holds the spins 1 - 2 * bit j of v, for bits j = 0..7 of a byte
 _BYTE_SPINS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
 
@@ -72,6 +78,11 @@ class Wavefunction:
         caller may overwrite (training centres it in place)."""
         raise NotImplementedError
 
+    def basis_log_amp(self):
+        """log psi over the whole basis in index order, bit for bit
+        log_amp(np.arange(2**n)); the one read of a whole basis."""
+        return np.asarray(self.log_amp(np.arange(1 << self.n, dtype=np.int64)))
+
     def amp(self, x):
         return np.exp(self.log_amp(x))
 
@@ -102,10 +113,17 @@ class Rbm(Wavefunction):
     per-byte tables of the visible layer: byte k of a basis index (bits
     8k..8k+7, qubits n-1-8k down to n-8-8k) selects one row of a table that
     holds, for each of its up to 256 values, a . s and W s over those eight
-    spins, with c folded into the first table.  A state then costs one
-    shift and mask and one row gather per byte, plus adds, and its value
-    does not depend on the other states in the call.  The tables are built
-    on the first evaluation after __init__ or set_params.  a, c and w are
+    spins, with c folded into the first table.  A list of indices costs
+    one shift and mask and one row gather per byte, plus adds.
+    basis_log_amp gathers nothing: it broadcasts the low byte's table
+    against the higher bytes', adding in the same order, so it equals
+    log_amp(arange(2^n)) bit for bit.  Both lay the angles out hidden-major
+    (one column per state) and take log psi as a . s + sum_j |theta_j| +
+    log prod_j (1 + e^(-2|theta_j|)) for the real flavor, one log per
+    state, and as a . s + sum_j log 2cosh(theta_j) for the complex one,
+    summing down the hidden units in order, so a state's value does not
+    depend on the other states in the call.  The tables are built on the
+    first evaluation after __init__ or set_params.  a, c and w are
     read-only arrays, so the tables cannot go stale; set_params is the only
     way to change them.
     """
@@ -169,19 +187,74 @@ class Rbm(Wavefunction):
 
         A batch longer than _BLOCK rows is evaluated _BLOCK rows at a time,
         so that its temporaries stay cache-sized and are reused from the
-        heap rather than mapped afresh per call.  Every step is elementwise
-        per state, so a state's value is bit for bit the same in any batch.
+        heap rather than mapped afresh per call.
         """
         if xs.size > _BLOCK:
             return np.concatenate([self._log_psi(xs[i:i + _BLOCK])
                                    for i in range(0, xs.size, _BLOCK)])
+        if xs.size == 1:  # numpy sums a lone column pairwise; keep two
+            return self._log_psi(np.repeat(xs, 2))[:1]
+        (_, mask, table), *rest = self._get_tables()
+        rows = table.take(xs & mask, axis=0)
+        for shift, mask, table in rest:
+            rows += table.take((xs >> shift) & mask, axis=0)
+        return self._from_angles(np.ascontiguousarray(rows.T))
+
+    def basis_log_amp(self):
+        """log psi over the whole basis in index order.
+
+        Each block of _BLOCK states spans every value of the low byte and a
+        few consecutive values of the next, with the bytes above fixed, so
+        its angles are the low table broadcast against a slice of the next
+        table plus a column of each higher one, added in the order
+        _log_psi adds its gathers.
+        """
+        (_, _, low), *rest = self._get_tables()
+        if rest:
+            (_, _, second), *higher = rest
+            size = 1 << self.n
+            block = min(_BLOCK, size)
+            out = np.empty(size, low.dtype)
+            acc = np.empty((low.shape[1], block >> 8, 256), low.dtype)
+            for start in range(0, size, block):
+                hi = (start >> 8) & 255
+                np.add(low.T[:, None, :], second.T[:, hi:hi + (block >> 8), None],
+                       out=acc)
+                for shift, mask, table in higher:
+                    acc += table[(start >> shift) & mask, :, None, None]
+                out[start:start + block] = self._from_angles(acc.reshape(-1, block))
+        else:
+            out = self._from_angles(low.T.copy())
+        return out.astype(np.complex128, copy=False)
+
+    def _get_tables(self):
         if self._tables is None:
             self._tables = self._byte_tables()
-        (_, mask, table), *rest = self._tables
-        acc = table.take(xs & mask, axis=0)
-        for shift, mask, table in rest:
-            acc += table.take((xs >> shift) & mask, axis=0)
-        return acc[:, 0] + log2cosh(acc[:, 1:]).sum(axis=1)
+        return self._tables
+
+    def _from_angles(self, acc):
+        """log psi from an (m+1, states) array of rows [a . s, theta_1..m]
+        over at least two states; acc may be overwritten.
+
+        Every sum and product runs down the hidden rows in order, one state
+        per column, so a state's value does not depend on the other
+        columns.  The real flavor takes log 2cosh(theta) = |theta| +
+        log(1 + e^(-2|theta|)) and multiplies the factors, each in (1, 2],
+        before one log per state, _PRODUCT_ROWS at a time so that the
+        product cannot overflow.  The complex flavor keeps one log2cosh per
+        angle, as a product of complex factors could underflow.
+        """
+        hidden = acc[1:]
+        if self.flavor == "complex":
+            return acc[0] + log2cosh(hidden).sum(axis=0)
+        np.abs(hidden, out=hidden)
+        out = acc.sum(axis=0)
+        hidden *= -2.0
+        np.exp(hidden, out=hidden)
+        hidden += 1.0
+        for i in range(0, self.m, _PRODUCT_ROWS):
+            out += np.log(hidden[i:i + _PRODUCT_ROWS].prod(axis=0))
+        return out
 
     def log_amp(self, x):
         xs = np.asarray(x, dtype=np.int64)
@@ -210,8 +283,7 @@ class Rbm(Wavefunction):
         out = np.empty((s.shape[0], self.param_count), dtype=t.dtype)
         out[:, :n] = s
         out[:, n:n + m] = t
-        np.multiply(t[:, :, None], s[:, None, :],
-                    out=out[:, n + m:].reshape(s.shape[0], m, n))
+        np.einsum("kj,ki->kji", t, s, out=out[:, n + m:].reshape(s.shape[0], m, n))
         return out[0] if xs.ndim == 0 else out
 
     def get_params(self):
@@ -338,7 +410,7 @@ def dense_vector(psi, limit=DENSE_LIMIT):
     if isinstance(psi, DenseState):
         v = psi.amplitudes
     else:
-        la = np.asarray(psi.log_amp(np.arange(1 << psi.n, dtype=np.int64)))
+        la = np.asarray(psi.basis_log_amp())
         v = np.exp(la - la.real.max())
     return v / np.linalg.norm(v)
 

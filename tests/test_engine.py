@@ -640,7 +640,8 @@ def test_row_energies_below_the_shared_shift_match_their_own_batch(flavor):
 
 
 def _counted(psi):
-    """Wrap psi's log_amp and log_prob; returns the list of (name, size)."""
+    """Wrap psi's log_amp, log_prob and basis_log_amp; returns the list of
+    (name, size), a whole-basis read counting as a log_amp of 2^n states."""
     calls = []
     for name in ("log_amp", "log_prob"):
         real = getattr(psi, name)
@@ -650,6 +651,13 @@ def _counted(psi):
             return real(x)
 
         setattr(psi, name, counted)
+    basis = psi.basis_log_amp
+
+    def counted_basis():
+        calls.append(("log_amp", 1 << psi.n))
+        return basis()
+
+    psi.basis_log_amp = counted_basis
     return calls
 
 

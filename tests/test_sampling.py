@@ -9,6 +9,7 @@ from vnls import (
     DenseState,
     SampleBatch,
     acceptance_stats,
+    dense_vector,
     enumerate_born,
     init_gaussian,
     metropolis_sample,
@@ -201,6 +202,23 @@ def test_table_draws_skip_zero_weights():
     # only the seed sets the draws: one generator on (entropy, *prefix)
     assert np.array_equal(batch.indices, _draw_pi(table, 20_000, seed=3).indices)
     assert not np.array_equal(batch.indices, _draw_pi(table, 20_000, seed=4).indices)
+
+
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_basis_table_reads_the_whole_basis_entry_point(flavor):
+    psi = init_gaussian(9, sigma=0.3, seed=2, flavor=flavor)
+    whole = psi.basis_log_amp()
+    want = dense_vector(psi)
+
+    def refuse(x):
+        raise AssertionError("read past the whole-basis entry point")
+
+    psi.log_amp = psi.log_prob = refuse
+    table = _BasisTable(psi)
+    assert np.array_equal(table.log_amps, whole)
+    assert np.array_equal(table.log_probs, 2.0 * whole.real)
+    assert np.array_equal(dense_vector(psi), want)
+    assert np.array_equal(dense_vector(table), want)
 
 
 def test_warm_start_proposes_only_thin_times_count():

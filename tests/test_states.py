@@ -158,6 +158,34 @@ def test_log_prob_independent_of_batch_bitwise(n, flavor):
             assert np.array_equal(psi.log_prob(x[-size:]), alone[-size:])
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_basis_log_amp_equals_log_amp_bitwise(n, flavor):
+    # one byte, a partial byte, exactly one, one and a bit, two, two and a bit
+    for seed, sigma in enumerate((0.01, 1.0, 3.0)):
+        psi = init_gaussian(n, sigma=sigma, seed=seed, flavor=flavor)
+        whole = psi.basis_log_amp()
+        assert whole.dtype == np.complex128
+        assert np.array_equal(whole, psi.log_amp(np.arange(1 << n)))
+        x = np.random.default_rng(seed).integers(0, 1 << n, size=5)
+        assert np.array_equal(whole[x], [psi.log_amp(int(v)) for v in x])
+
+
+def test_real_rbm_past_one_product_of_factors():
+    # 1200 hidden factors near 2 each: one product of them would overflow
+    psi = init_gaussian(2, alpha=600, seed=3)
+    assert psi.m > 2 * states._PRODUCT_ROWS
+    want = np.array([brute_log_amp(psi, v) for v in range(4)])
+    assert np.all(np.abs(want - 832.0) < 1.0)
+    tol = 1e-12 * (1.0 + np.abs(want))
+    for got in (psi.basis_log_amp(), psi.log_amp(np.arange(4)),
+                [psi.log_amp(v) for v in range(4)]):
+        got = np.asarray(got)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got.real - want) <= tol)
+        assert np.all(got.imag == 0.0)
+
+
 @pytest.mark.parametrize("flavor", ["real", "complex"])
 def test_set_params_values_equal_fresh_model_bitwise(flavor):
     psi = init_gaussian(11, sigma=0.2, seed=1, flavor=flavor)
