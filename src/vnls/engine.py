@@ -10,6 +10,18 @@ which vanishes exactly when A psi is proportional to b, i.e. when psi is
 proportional to A^{-1} b.  Both are Monte Carlo averages of a local energy
 l(x), estimated on samples of pi(x) = |psi(x)|^2 / <psi|psi>.
 
+A training epoch takes its statistics once per distinct sampled state.
+After the draw, one np.unique gives the U distinct states of the N-sample
+batch and their counts.  Local energies are computed at the U states and
+expanded back to the N samples, so the loss and its variance are the
+plain batch mean and variance, as if each sample were computed apart (a
+state's energy has the same bits in any batch).  log_grad, the centring,
+the gradient and the Fisher matrix run over the U rows with weights
+w = count / N; the Fisher is one SYRK product of the rows scaled by
+sqrt(w), with its smallest value factored out, so that the rows of states
+drawn once are not scaled at all.
+The estimates are those of the full batch, summed in another order.
+
 Local energies read operator rows from each sum's compiled RowForm (see
 operators): the solver's l(x) needs one grouped expansion of A^2 at the
 pi-samples, plus grouped rows of A at the beta samples and for (A b)(x), so
@@ -61,8 +73,9 @@ from .errors import CapabilityError
 # retires that replay
 from .operators import (DENSE_LIMIT, apply_to_state, expand_rows,  # noqa: F401
                         to_sparse)
-from .sampling import (_BasisTable, _beta_cdf, _draw_beta, _draw_pi,
-                       acceptance_stats, default_thin, metropolis_sample)
+from .sampling import (SampleBatch, _BasisTable, _beta_cdf, _draw_beta,
+                       _draw_pi, acceptance_stats, default_thin,
+                       metropolis_sample)
 from .states import DenseState, _is_number, dense_vector
 
 _PI_STREAM = 0
@@ -313,66 +326,97 @@ def _table_vnls_energies(a, matrix, ab, b, table, x, beta_batch):
 
 
 def _normalized_weights(weights, size):
+    """``weights`` divided by their sum, or uniform weights 1/size for None.
+
+    Raise ValueError for an empty batch, and unless the weights have one
+    entry per sample and are finite, nonnegative and not all zero: the
+    weighted Fisher scales its rows by sqrt(w), and weights summing to zero
+    leave no estimate to normalize.
+    """
+    if size == 0:
+        raise ValueError("the batch is empty")
     if weights is None:
-        return None
+        return np.full(size, 1.0 / size)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (size,):
         raise ValueError("weights must match the batch length")
-    return w / w.sum()
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    total = w.sum()
+    if total == 0.0:
+        raise ValueError("weights must not all be zero")
+    return w / total
 
 
 def estimate_objective(l, weights=None):
-    """Batch objective: real part of the (weighted) mean local energy."""
-    return float(np.real(np.average(np.asarray(l), weights=weights)))
+    """Batch objective: real part of the (weighted) mean local energy.
+
+    ``weights`` follow the rules of estimate_gradient."""
+    l = np.asarray(l)
+    if weights is not None:
+        weights = _normalized_weights(weights, l.size)
+    return float(np.real(np.average(l, weights=weights)))
 
 
 def estimate_variance(l, weights=None):
-    """Mean squared deviation |l - mean|^2 of the local energies."""
+    """Mean squared deviation |l - mean|^2 of the local energies.
+
+    ``weights`` follow the rules of estimate_gradient."""
     l = np.asarray(l)
+    if weights is not None:
+        weights = _normalized_weights(weights, l.size)
     m = np.average(l, weights=weights)
     return float(np.average(np.abs(l - m) ** 2, weights=weights))
 
 
-def _gradient(lc, oc, w=None):
-    """2 * mean[lc * conj(oc)] from centred local energies and rows.
+def _gradient(lc, oc, w):
+    """2 * sum_k w_k lc_k conj(oc_k) from centred local energies and rows,
+    with normalized weights w.
 
     Real rows give only the real part, from one real matrix-vector product
-    with Re(lc); complex rows give the complex vector.  ``w`` holds
-    normalized weights, or None for the plain mean.
+    with w * Re(lc); complex rows give the complex vector.
     """
     if np.iscomplexobj(oc):
-        v = lc if w is None else w * lc
-        g = np.conj(np.conj(v) @ oc)  # makes no conjugated copy of oc
+        g = np.conj(np.conj(w * lc) @ oc)  # makes no conjugated copy of oc
     else:
-        v = lc.real if w is None else w * lc.real
-        g = oc.T @ v
-    g *= 2.0 / lc.size if w is None else 2.0
+        g = oc.T @ (w * lc.real)
+    g *= 2.0
     return g
 
 
-def _fisher(oc, w=None):
-    """Fisher matrix from centred rows (see estimate_fisher).
+def _fisher(oc, w):
+    """Fisher matrix from centred rows and normalized weights w (see
+    estimate_fisher); overwrites oc with its scaled rows S.
 
-    The real product oc.T @ oc goes to BLAS SYRK; the real score's factor
-    4 = 2^2 and the 1/N of the mean are applied to the p x p result.
+    sum_k w_k conj(oc_k) oc_k^T = u S^H S, with u the smallest positive
+    weight and S the rows scaled by sqrt(w / u), so rows of weight u (in
+    training, the states a batch drew once) stay as they are.  A real
+    matrix comes from one BLAS SYRK product S^T S, with the real score's
+    factor 4 = 2^2 and u applied to the p x p result.
     """
+    unit = w[w > 0.0].min()
+    ratio = w / unit
+    scaled = ratio != 1.0
+    oc[scaled] *= np.sqrt(ratio[scaled])[:, None]
     if np.iscomplexobj(oc):
-        left, scale = np.conj(oc).T, 1.0
+        f = np.conj(oc).T @ oc
+        f *= unit
     else:
-        left, scale = oc.T, 4.0
-    if w is None:
-        f = left @ oc
-        f *= scale / oc.shape[0]
-    else:
-        f = (left * w) @ oc
-        f *= scale
+        f = oc.T @ oc
+        f *= 4.0 * unit
     return f
 
 
-def _centred(o, w=None):
-    """The rows minus their (weighted) mean, as a new array."""
+def _centred(o, w):
+    """o minus its mean row under normalized weights w, in place."""
+    o -= w @ o
+    return o
+
+
+def _own_rows(o):
+    """A float or complex copy of log-derivative rows, for _centred."""
     o = np.asarray(o)
-    return o - (o.mean(axis=0) if w is None else w @ o)  # w sums to one
+    return o.astype(np.result_type(o, np.float64))
 
 
 def estimate_gradient(l, o, l_hat=None, weights=None):
@@ -380,28 +424,33 @@ def estimate_gradient(l, o, l_hat=None, weights=None):
 
     ``o`` holds log-derivative rows from log_grad.  For real parameters the
     real part is returned, computed in real arithmetic as
-    (2/N) * Oc^T Re(l - Lhat); for complex parameters the complex vector
+    2 Oc^T (w * Re(l - Lhat)); for complex parameters the complex vector
     whose real/imag parts are the derivatives with respect to the
     parameter's real/imag parts.  ``l_hat`` defaults to the batch mean,
     making the centering term an exact no-op; passing an external value is
-    allowed.
+    allowed.  ``weights`` (one per sample, finite, nonnegative and not all
+    zero, else ValueError) make every mean a weighted one; None weighs the
+    samples alike.
     """
     l = np.asarray(l, dtype=np.complex128)
     w = _normalized_weights(weights, l.size)
     if l_hat is None:
         l_hat = np.average(l, weights=w)
-    return _gradient(l - l_hat, _centred(o, w), w)
+    return _gradient(l - l_hat, _centred(_own_rows(o), w), w)
 
 
 def estimate_fisher(o, weights=None):
     """Fisher / overlap matrix estimate from log-derivative rows.
 
     Real parameters: covariance of the score 2*Re(O), a real PSD matrix,
-    computed as (4/N) * Oc^T Oc with one symmetric rank-N product.
+    computed as 4 u S^T S with one symmetric rank-N product, where S holds
+    the centred rows scaled by sqrt(w / u), w the normalized weights and u
+    the smallest positive one.
     Complex parameters: the centered matrix <conj(Oc) Oc^T>, Hermitian PSD;
-    sr_step works with its real part.
+    sr_step works with its real part.  ``weights`` follow the rules of
+    estimate_gradient.
     """
-    o = np.asarray(o)
+    o = _own_rows(o)
     w = _normalized_weights(weights, o.shape[0])
     return _fisher(_centred(o, w), w)
 
@@ -521,6 +570,7 @@ class EpochRecord:
     wall_ms: float
     loss_imag: float = 0.0
     sr_fallback: bool = False
+    distinct_states: int = 0   # distinct states in the pi batch; not in the CSV
 
 
 def _check_finite(epoch, name, value, last_loss):
@@ -550,17 +600,22 @@ def _train(psi, config, energy_fn, target):
                 burn_in=config.burn_in if chain_states is None else None,
                 thin=config.thin, seed=seed, start=chain_states)
             acceptance = acceptance_stats(chain_states)
-        l = energy_fn(source, batch, epoch)
-        l_hat = complex(np.mean(l))
+        # statistics are taken once per distinct state, weighted by its count
+        indices, first, inverse, counts = np.unique(
+            batch.indices, return_index=True, return_inverse=True,
+            return_counts=True)
+        l = energy_fn(source, SampleBatch(indices, batch.source,
+                                          batch.log_amps[first]), epoch)
+        l_all = l[inverse]  # the batch's N energies, for its mean and variance
+        l_hat = complex(np.mean(l_all))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
         last_loss = l_hat.real
-        lc = l - l_hat
-        variance = float(np.mean(np.abs(lc) ** 2))
-        oc = psi.log_grad(batch.indices)
-        oc -= oc.mean(axis=0)  # centred once, in place: the rows are ours
-        g = _gradient(lc, oc)
+        variance = float(np.mean(np.abs(l_all - l_hat) ** 2))
+        w = counts / len(batch)
+        oc = _centred(psi.log_grad(indices), w)  # the rows are ours
+        g = _gradient(l - l_hat, oc, w)
         _check_finite(epoch, "gradient", g, last_loss)
-        f = _fisher(oc)
+        f = _fisher(oc, w)
         del oc  # the next epoch's rows are not built beside this epoch's
         # a real Fisher comes from one SYRK product and is exactly symmetric;
         # the real part of a complex product need not be
@@ -584,7 +639,8 @@ def _train(psi, config, energy_fn, target):
             grad_norm=float(np.linalg.norm(g)),
             acceptance=acceptance, fidelity=fid,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            loss_imag=float(l_hat.imag), sr_fallback=fallback))
+            loss_imag=float(l_hat.imag), sr_fallback=fallback,
+            distinct_states=int(indices.size)))
     return records
 
 

@@ -929,3 +929,142 @@ def test_tabulate_rule():
     assert np.array_equal(table.log_prob(x), psi.log_prob(x))
     assert isinstance(table.log_prob(5), float)
     assert isinstance(table.log_amp(5), complex)
+
+
+@pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 1.0, 1.0],
+                                     [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0]],
+                         ids=["all-zero", "negative", "nan", "inf"])
+def test_estimators_refuse_bad_weights(weights):
+    psi = init_gaussian(3, seed=0)
+    o = psi.log_grad(np.arange(4))
+    l = np.array([1.0, 2.0, 0.5, 1.0 + 1j])
+    for estimate in (lambda: estimate_objective(l, weights=weights),
+                     lambda: estimate_variance(l, weights=weights),
+                     lambda: estimate_gradient(l, o, weights=weights),
+                     lambda: estimate_fisher(o, weights=weights)):
+        with pytest.raises(ValueError, match="weights"):
+            estimate()
+
+
+def test_estimators_refuse_an_empty_batch():
+    with pytest.raises(ValueError, match="empty"):
+        estimate_gradient(np.zeros(0), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        estimate_fisher(np.zeros((0, 3)))
+
+
+def test_zero_weights_drop_their_samples():
+    psi = init_gaussian(3, seed=0, flavor="complex")
+    o = psi.log_grad(np.arange(5))
+    l = np.array([1.0, 2.0, 0.5, 1.0 + 1j, 7.0])
+    w = np.array([1.0, 2.0, 0.0, 1.0, 0.0])
+    keep = w > 0
+    np.testing.assert_allclose(estimate_gradient(l, o, weights=w),
+                               estimate_gradient(l[keep], o[keep], weights=w[keep]),
+                               rtol=1e-14)
+    np.testing.assert_allclose(estimate_fisher(o, weights=w),
+                               estimate_fisher(o[keep], weights=w[keep]), rtol=1e-14)
+    assert estimate_variance(l, weights=w) == pytest.approx(
+        estimate_variance(l[keep], weights=w[keep]), rel=1e-14)
+
+
+def _spied_epochs(monkeypatch, kind, flavor, tabulated):
+    """Train n = 8 with spies; per epoch, the drawn pi batch, the batch the
+    energy function got, its energies and those of the drawn batch, the
+    log_grad indices and the drawn batch's rows, and the (f, g) handed to
+    _sr_solve.  Returns (per-epoch dicts, records)."""
+    prob = ising_problem(8, 10.0)
+    psi = init_gaussian(8, sigma=0.3, seed=2, flavor=flavor)
+    config = TrainConfig(epochs=3, batch_size=256, chains=4,
+                         learning_rate=0.05, seed=6)
+    seen = []
+    if not tabulated:
+        monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
+    draw_pi, sample = engine._draw_pi, engine.metropolis_sample
+
+    def spy_draw_pi(*args, **kwargs):
+        batch = draw_pi(*args, **kwargs)
+        seen.append({"drawn": batch})
+        return batch
+
+    def spy_sample(*args, **kwargs):
+        batch, states = sample(*args, **kwargs)
+        seen.append({"drawn": batch})
+        return batch, states
+
+    monkeypatch.setattr(engine, "_draw_pi", spy_draw_pi)
+    monkeypatch.setattr(engine, "metropolis_sample", spy_sample)
+    train, log_grad, sr_solve = engine._train, type(psi).log_grad, engine._sr_solve
+
+    def spy_train(psi, config, energy_fn, target):
+        def energy(source, batch, epoch):
+            l = energy_fn(source, batch, epoch)
+            seen[-1].update(batch=batch, l=l,
+                            l_drawn=energy_fn(source, seen[-1]["drawn"], epoch))
+            return l
+        return train(psi, config, energy, target)
+
+    def spy_log_grad(self, x):
+        seen[-1].update(grad_x=np.array(x),
+                        o_drawn=log_grad(self, seen[-1]["drawn"].indices))
+        return log_grad(self, x)
+
+    def spy_sr_solve(theta, m, g, *args):
+        seen[-1].update(f=m.copy(), g=g.copy())
+        return sr_solve(theta, m, g, *args)
+
+    monkeypatch.setattr(engine, "_train", spy_train)
+    monkeypatch.setattr(type(psi), "log_grad", spy_log_grad)
+    monkeypatch.setattr(engine, "_sr_solve", spy_sr_solve)
+    if kind == "vnls":
+        records = train_vnls(prob.a, prob.b, psi, config)
+    else:
+        records = train_vqmc(prob.a, psi, config)
+    assert len(seen) == config.epochs
+    return seen, records
+
+
+@pytest.mark.parametrize("tabulated", [True, False], ids=["table", "model"])
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_epoch_statistics_are_taken_once_per_distinct_state(monkeypatch, kind,
+                                                            flavor, tabulated):
+    seen, records = _spied_epochs(monkeypatch, kind, flavor, tabulated)
+    for epoch, (s, r) in enumerate(zip(seen, records)):
+        drawn = s["drawn"]
+        distinct, first, inverse = np.unique(drawn.indices, return_index=True,
+                                             return_inverse=True)
+        assert distinct.size < len(drawn)  # the batch repeats states
+        # the energy function and log_grad see each drawn state once, sorted
+        assert np.array_equal(s["batch"].indices, distinct)
+        assert np.array_equal(s["batch"].log_amps, drawn.log_amps[first])
+        assert np.array_equal(s["grad_x"], distinct)
+        assert r.distinct_states == distinct.size
+        # a state's energy has the same bits alone as in the drawn batch, so
+        # loss and loss_var are the drawn batch's mean and variance
+        l_drawn = s["l_drawn"]
+        assert np.array_equal(s["l"][inverse], l_drawn)
+        mean = np.mean(l_drawn)
+        assert r.loss == float(mean.real) and r.loss_imag == float(mean.imag)
+        assert r.loss_var == float(np.mean(np.abs(l_drawn - mean) ** 2))
+        # and the SR inputs are the full-batch estimates, summed in another
+        # order: an entry near zero may differ by an ulp of the largest
+        f = estimate_fisher(s["o_drawn"])
+        if np.iscomplexobj(f):
+            f = engine._symmetrized(f)
+        g = estimate_gradient(l_drawn, s["o_drawn"])
+        for got, want in ((s["f"], f), (s["g"], g)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
+def test_distinct_states_show_a_collapsed_solve():
+    # one SR step moves psi onto one basis state: from epoch 1 every exact
+    # draw is that state, and the loss stays far above the solution's 0
+    prob = random_pauli_problem(10, terms=40, seed=0)
+    records = train_vnls(prob.a, prob.b, init_gaussian(10, seed=0), TrainConfig(
+        epochs=6, batch_size=128, chains=4, learning_rate=0.02, seed=0))
+    counts = [r.distinct_states for r in records]
+    assert counts[0] >= 2 and counts[1:] == [1] * 5
+    for r in records[1:]:
+        assert r.loss == pytest.approx(390.8, abs=0.05)
