@@ -182,7 +182,7 @@ def cmd_vqmc(args):
 
 
 def cmd_oracle(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
+    cfg = RunConfig.build(args, ("dense_limit",))
     problem = _resolve_problem(args)
     # without a checkpoint: how close is b itself to the solution
     psi = load_checkpoint(args.checkpoint) if args.checkpoint else problem.b
@@ -235,7 +235,7 @@ def cmd_sweep(args):
 
 
 def cmd_ising_scan(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
+    cfg = RunConfig.build(args, ("dense_limit",))
     try:
         n_min = int(args.n_min)
         n_max = int(args.n_max)

@@ -43,15 +43,16 @@ sampling), with no chains: a tabulated run has no burn-in, keeps no chain
 states, and records an acceptance of 1.0, as an independence sampler
 whose proposal is pi accepts every draw; chains and burn_in act only on
 the model path.  Up to n = DENSE_LIMIT, the cap of to_sparse, the energies
-come from whole-basis products with the operator's CSR matrix: psi
+come from whole-basis products with the operator's CSR matrix alone: psi
 divided by its largest magnitude over the basis, then A psi and A^2 psi =
-A (A psi) for the solver, or H psi, gathered at the pi samples, with Ehat
-still the mean over the beta samples.  Past it the row estimators read the
-table as they would the model, and give the same bits, as the RBM gives
-every state the same value in any batch; up to it the whole-basis
-products sum in another order, so the energies differ from the row
-estimators' in the last bits.  A run's dense_limit bounds only the oracle
-and fidelity tracking.
+A (A psi) for the solver, or H psi, gathered at the pi samples (a drawn
+state's weight is positive, so there psi lies within 372.6 e-folds of
+that largest magnitude), with Ehat still the mean over the beta samples.
+Past it the row estimators read the table as they would the model, and
+give the same bits, as the RBM gives every state the same value in any
+batch; up to it the whole-basis products sum in another order, so the
+energies differ from the row estimators' in the last bits.  A run's
+dense_limit bounds only the oracle and fidelity tracking.
 """
 
 from __future__ import annotations
@@ -84,19 +85,15 @@ _BETA_STREAM = 1
 
 # Whole-basis table entries worth one Metropolis step on the model, by
 # flavor: training tabulates where 2^n <= c * batch_size * thin.  Median warm
-# epochs of a vqmc chain (8 chains, one BLAS thread, 2 shared cores), table
-# against model, at r = 2^n / (batch_size * thin):
-#   real     r = 3.8: 84-101 / 99-161 ms, r = 5.0: 80-88 / 117 ms,
-#            r = 6.0: 74-102 / 81-100 ms, r = 7.5: 79-92 / 63-74 ms;
-#   complex  r = 1.1: 203-234 / 401-480 ms, r = 2.1: 323-374 / 403-531 ms,
-#            r = 2.8: 150-185 / 162-195 ms, r = 3.0: 298-368 / 302-324 ms,
-#            r = 3.8: 277-356 / 244-313 ms.
-# These figures were measured when the table was sampled by Metropolis
-# chains walking it one flip at a time, and built by gathering a row of
-# each byte table per state.  Tabulated runs now draw pi exactly (see
-# sampling), and Rbm.basis_log_amp builds the table by broadcasting, both
-# of which cost less than before; c has not been measured again since, and
-# keeps its values.
+# epochs of vqmc on the critical transverse-field chain (batch 1024, 8
+# chains, one BLAS thread, 2 shared cores, two runs), exact draws from the
+# table against the model, at r = 2^n / (batch_size * thin):
+#   real     r = 3.8: 30-31 / 61-65 ms, r = 7.5: 57-59 / 75 ms,
+#            r = 13.5: 87-96 / 65-86 ms;
+#   complex  r = 1.1: 60-77 / 193-224 ms, r = 2.1: 146-151 / 228-242 ms,
+#            r = 3.8: 285-339 / 261-285 ms, r = 7.5: 497-550 / 204-246 ms.
+# The real crossover lies near r = 10, past c = 6; a larger c moves runs
+# onto the table, to be judged on a workload past n = 16.
 _TABLE_COST = {"real": 6, "complex": 3}
 
 
@@ -105,7 +102,7 @@ def _tabulate(psi, config):
     _BasisTable where 2^n <= c * batch_size * thin (thin as given, else the
     sampler's default; c from _TABLE_COST by psi's flavor, 1 for a model
     without one), else psi itself, as it is for a DenseState.  The table
-    holds 24 * 2^n bytes, at most 24 * c * batch_size * thin."""
+    holds 16 * 2^n bytes, at most 96 * batch_size * thin."""
     thin = default_thin(psi.n) if config.thin is None else config.thin
     cost = _TABLE_COST.get(getattr(psi, "flavor", None), 1)
     if isinstance(psi, DenseState) or (1 << psi.n) > cost * config.batch_size * thin:
@@ -284,33 +281,36 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     return l, table.unscale(e_hat)
 
 
-def _table_energies(table, x, numerator, row_path):
+def _whole_basis_matrix(op, source):
+    """to_sparse(op) where an epoch's energies come from whole-basis
+    products over ``source``, a _BasisTable with n <= DENSE_LIMIT; else
+    None, and the row estimators read source."""
+    if op.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
+        return None
+    return to_sparse(op)
+
+
+def _table_energies(table, x, numerator):
     """Local energies numerator(psi)[x] / psi[x] from a _BasisTable.
 
     psi holds the table's amplitudes over the whole basis divided by the
     largest of them, so nothing overflows; ``numerator`` maps it to a
-    whole-basis vector.  Rows of x where psi would lose precision (see
-    _FAR) take ``row_path`` on their indices instead.
+    whole-basis vector.  Each x is a state drawn from the table, whose
+    weight exp(2 (log|psi(x)| - top)) is positive, so it lies less than
+    372.6 e-folds below the top and psi[x] is a normal number.
     """
     la = table.log_amps
-    top = la.real.max()
-    psi = np.exp(la - top)
-    near = la.real[x] >= top - _FAR
-    l = np.empty(x.size, dtype=np.complex128)
-    l[near] = numerator(psi)[x[near]] / psi[x[near]]
-    if not near.all():
-        l[~near] = row_path(x[~near])
-    return l
+    psi = np.exp(la - la.real.max())
+    return numerator(psi)[x] / psi[x]
 
 
-def _table_energy_h(h, matrix, table, x):
+def _table_energy_h(matrix, table, x):
     """local_energy_h at x from one whole-basis product H psi, with
     ``matrix`` = to_sparse(h)."""
-    return _table_energies(table, x, lambda psi: matrix @ psi,
-                           lambda xs: local_energy_h(h, table, xs))
+    return _table_energies(table, x, lambda psi: matrix @ psi)
 
 
-def _table_vnls_energies(a, matrix, ab, b, table, x, beta_batch):
+def _table_vnls_energies(matrix, ab, b, table, x, beta_batch):
     """vnls_local_energies' energies at x from whole-basis products: A psi,
     A^2 psi = A (A psi) and ``ab`` = A b, with ``matrix`` = to_sparse(a)."""
     bx = beta_batch.indices
@@ -320,9 +320,7 @@ def _table_vnls_energies(a, matrix, ab, b, table, x, beta_batch):
         e_hat = (apsi[bx] / b.amp(bx)).mean()
         return matrix @ apsi - ab * e_hat
 
-    return _table_energies(
-        table, x, numerator,
-        lambda xs: vnls_local_energies(a, b, table, xs, beta_batch)[0])
+    return _table_energies(table, x, numerator)
 
 
 def _normalized_weights(weights, size):
@@ -385,21 +383,24 @@ def _gradient(lc, oc, w):
 
 
 def _fisher(oc, w):
-    """Fisher matrix from centred rows and normalized weights w (see
+    """Real Fisher matrix from centred rows and normalized weights w (see
     estimate_fisher); overwrites oc with its scaled rows S.
 
     sum_k w_k conj(oc_k) oc_k^T = u S^H S, with u the smallest positive
     weight and S the rows scaled by sqrt(w / u), so rows of weight u (in
-    training, the states a batch drew once) stay as they are.  A real
-    matrix comes from one BLAS SYRK product S^T S, with the real score's
-    factor 4 = 2^2 and u applied to the p x p result.
+    training, the states a batch drew once) stay as they are.  The matrix
+    comes from one real BLAS SYRK product, so it is exactly symmetric:
+    S^T S with the real score's factor 4 = 2^2 for real rows, and for
+    complex rows Re(S^H S) = R^T R with R = [Re S; Im S] stacked; u is
+    applied to the p x p result.
     """
     unit = w[w > 0.0].min()
     ratio = w / unit
     scaled = ratio != 1.0
     oc[scaled] *= np.sqrt(ratio[scaled])[:, None]
     if np.iscomplexobj(oc):
-        f = np.conj(oc).T @ oc
+        r = np.concatenate([oc.real, oc.imag])
+        f = r.T @ r
         f *= unit
     else:
         f = oc.T @ oc
@@ -446,13 +447,18 @@ def estimate_fisher(o, weights=None):
     computed as 4 u S^T S with one symmetric rank-N product, where S holds
     the centred rows scaled by sqrt(w / u), w the normalized weights and u
     the smallest positive one.
-    Complex parameters: the centered matrix <conj(Oc) Oc^T>, Hermitian PSD;
-    sr_step works with its real part.  ``weights`` follow the rules of
-    estimate_gradient.
+    Complex parameters: the centered matrix <conj(Oc) Oc^T>, Hermitian PSD:
+    its real part u R^T R from one real product of R = [Re S; Im S], and
+    its imaginary part u (Re S^T Im S - Im S^T Re S).  sr_step works with
+    the real part.  ``weights`` follow the rules of estimate_gradient.
     """
     o = _own_rows(o)
     w = _normalized_weights(weights, o.shape[0])
-    return _fisher(_centred(o, w), w)
+    f = _fisher(_centred(o, w), w)  # o now holds the scaled rows S
+    if np.iscomplexobj(o):
+        cross = o.real.T @ o.imag
+        f = f + 1j * ((cross - cross.T) * w[w > 0.0].min())
+    return f
 
 
 def sr_step(theta, sr):
@@ -581,8 +587,19 @@ def _check_finite(epoch, name, value, last_loss):
             "parameters")
 
 
-def _train(psi, config, energy_fn, target):
+def _train(op, psi, config, energy_fn, exact_target, **states):
+    """The SR loop of both trainers, on the energies energy_fn(source,
+    batch, epoch); psi is updated in place.  With oracle_every set,
+    fidelity is tracked against exact_target(limit) for the run's
+    dense_limit, which is read here only."""
+    _check_inputs(op, psi=psi, **states)
     config.validate()
+    limit = config.dense_limit
+    target = None
+    if config.oracle_every:
+        if op.n > limit:
+            raise CapabilityError(f"fidelity tracking needs n <= {limit}")
+        target = exact_target(limit)
     records = []
     last_loss = None
     chain_states = None  # model-path chains persist across epochs: burn-in runs once
@@ -617,10 +634,6 @@ def _train(psi, config, energy_fn, target):
         _check_finite(epoch, "gradient", g, last_loss)
         f = _fisher(oc, w)
         del oc  # the next epoch's rows are not built beside this epoch's
-        # a real Fisher comes from one SYRK product and is exactly symmetric;
-        # the real part of a complex product need not be
-        if np.iscomplexobj(f):
-            f = _symmetrized(f)
         theta, fallback = _sr_solve(psi.get_params(), f, g,
                                     config.learning_rate, config.shift,
                                     config.ridge)
@@ -633,7 +646,7 @@ def _train(psi, config, energy_fn, target):
         if target is not None and (epoch % config.oracle_every == 0
                                    or epoch == config.epochs - 1):
             source = _tabulate(psi, config)  # the next epoch reads it too
-            fid = oracle.fidelity(dense_vector(source, config.dense_limit), target)
+            fid = oracle.fidelity(dense_vector(source, limit), target)
         records.append(EpochRecord(
             epoch=epoch, loss=float(l_hat.real), loss_var=variance,
             grad_norm=float(np.linalg.norm(g)),
@@ -661,20 +674,14 @@ def train_vqmc(h, psi, config):
     With ``oracle_every`` set, fidelity against the exact lowest eigenvector
     is recorded every that many epochs (requires n <= dense_limit).
     """
-    _check_inputs(h, psi=psi)
-    target = None
-    if config.oracle_every:
-        if h.n > config.dense_limit:
-            raise CapabilityError(
-                f"fidelity tracking needs n <= {config.dense_limit}")
-        target = oracle.ground_state(h, config.dense_limit)
-
     def energy(source, batch, epoch):
-        if h.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
+        matrix = _whole_basis_matrix(h, source)
+        if matrix is None:
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
-        return _table_energy_h(h, to_sparse(h), source, batch.indices)
+        return _table_energy_h(matrix, source, batch.indices)
 
-    return _train(psi, config, energy, target)
+    return _train(h, psi, config, energy,
+                  lambda limit: oracle.ground_state(h, limit))
 
 
 def train_vnls(a, b, psi, config):
@@ -686,14 +693,6 @@ def train_vnls(a, b, psi, config):
     recorded (requires n <= dense_limit).  A must be Hermitian and psi and b
     on its qubits, else ValueError.
     """
-    _check_inputs(a, psi=psi, b=b)
-    target = None
-    if config.oracle_every:
-        if a.n > config.dense_limit:
-            raise CapabilityError(
-                f"fidelity tracking needs n <= {config.dense_limit}")
-        target = oracle.exact_solve(a, b, config.dense_limit)
-
     ab = None  # A b over the whole basis, with the first table
     beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
@@ -701,11 +700,13 @@ def train_vnls(a, b, psi, config):
         nonlocal ab
         beta = _draw_beta(b, beta_cdf, config.batch_size,
                           seed=(config.seed, _BETA_STREAM, epoch))
-        if a.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
+        matrix = _whole_basis_matrix(a, source)
+        if matrix is None:
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
         if ab is None:
-            ab = to_sparse(a) @ b.amplitudes
-        return _table_vnls_energies(a, to_sparse(a), ab, b, source, batch.indices, beta)
+            ab = matrix @ b.amplitudes
+        return _table_vnls_energies(matrix, ab, b, source, batch.indices, beta)
 
-    return _train(psi, config, energy, target)
+    return _train(a, psi, config, energy,
+                  lambda limit: oracle.exact_solve(a, b, limit), b=b)

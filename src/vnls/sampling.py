@@ -43,8 +43,7 @@ _BasisTable of log psi over the whole basis (see vnls.engine._tabulate),
 and pi is then known exactly: _draw_pi takes its samples by inverse CDF
 over the table, as beta's are, with no chains.  The draws are independent,
 and as every value comes from one whole-basis call, a tabulated training
-run is bit for bit the same at any chain count and burn-in.  A table passed
-to metropolis_sample is read through log_prob like any model.
+run is bit for bit the same at any chain count and burn-in.
 
 Randomness is organized so runs are reproducible: every chain owns an
 independent generator derived from (entropy, *prefix, chain) through
@@ -150,18 +149,17 @@ class _BasisTable:
 
     Training builds it where the basis is small against an epoch's
     proposals (see vnls.engine._tabulate) and passes it in place of the
-    model: _draw_pi samples pi from ``log_probs``, and the trainers'
-    local energies take whole-basis products with ``log_amps`` up to
-    operators.DENSE_LIMIT.  ``log_amp`` and ``log_prob`` gather from the
-    table, for the row estimators past DENSE_LIMIT, which read it as they
-    would the model, and dense_vector reads ``basis_log_amp``.  It holds 24
-    bytes per basis state.
+    model: _draw_pi samples pi from ``log_amps``, and the trainers' local
+    energies take whole-basis products with them up to
+    operators.DENSE_LIMIT.  ``log_amp`` gathers from the table, for the row
+    estimators past DENSE_LIMIT, which read it as they would the model, and
+    dense_vector reads ``basis_log_amp``.  It holds 16 bytes per basis
+    state.
     """
 
     def __init__(self, psi):
         self.n = psi.n
         self.log_amps = np.asarray(psi.basis_log_amp(), dtype=np.complex128)
-        self.log_probs = 2.0 * self.log_amps.real
 
     def log_amp(self, x):
         out = self.log_amps[np.asarray(x, dtype=np.int64)]
@@ -169,10 +167,6 @@ class _BasisTable:
 
     def basis_log_amp(self):
         return self.log_amps
-
-    def log_prob(self, x):
-        out = self.log_probs[np.asarray(x, dtype=np.int64)]
-        return float(out) if out.ndim == 0 else out
 
 
 def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
@@ -404,13 +398,13 @@ def _draw_beta(b, support_cdf, k, seed):
 def _draw_pi(table, k, seed):
     """k exact, independent draws from pi over a _BasisTable.
 
-    Inverse CDF over the running sum of exp(log_probs - max), so the
+    Inverse CDF over the running sum of exp(2 (Re log psi - max)), so the
     largest weight is 1 and none overflows; a state whose weight is zero,
     or underflows to zero, is never drawn.  log_amps are gathered from the
     table.
     """
-    log_probs = table.log_probs
-    cdf = np.cumsum(np.exp(log_probs - log_probs.max()))
+    la = table.log_amps.real
+    cdf = np.cumsum(np.exp(2.0 * (la - la.max())))
     indices = _inverse_cdf(cdf, k, seed).astype(np.int64)
     return SampleBatch(indices=indices, source="pi", log_amps=table.log_amps[indices])
 

@@ -239,6 +239,25 @@ def test_config_file_wrong_type_exits_2(tmp_path, capsys, options):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [["oracle", "--ising", 4, 10],
+                                  ["ising-scan", 3, 4]], ids=["oracle", "ising-scan"])
+@pytest.mark.parametrize("options, key", [({"lr": -1}, "lr"),
+                                          ({"epochs": 5, "model": "rbm-complex"}, "epochs")],
+                         ids=["bad-lr", "training-keys"])
+def test_oracle_commands_take_only_dense_limit_from_a_config(tmp_path, capsys, argv,
+                                                             options, key):
+    # training options mean nothing to these commands: a file naming one is
+    # refused as unknown, not validated or ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options), encoding="utf-8")
+    code, stdout, err = run(argv + ["--config", cfg], capsys)
+    assert code == 2 and f"unknown key {key!r}" in err
+    assert stdout == ""
+    cfg.write_text(json.dumps({"dense_limit": 3}), encoding="utf-8")
+    code, _, err = run(argv + ["--config", cfg], capsys)
+    assert code == 3 and "n <= 3" in err
+
+
 def test_sweep_batch_axis_keeps_sample_budget(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(["sweep", "--ising", 3, 10, "--axis", "batch",

@@ -766,41 +766,46 @@ def test_whole_basis_energies_match_the_row_path(flavor, sigma, rng):
     h = random_sum(rng, n, 10)
     psi = init_gaussian(n, sigma=sigma, seed=2, flavor=flavor)
     table = engine._BasisTable(psi)
-    batch, _ = metropolis_sample(table, n, 300, chains=8, seed=3)
+    batch = engine._draw_pi(table, 300, seed=3)
     beta = sample_beta(prob.b, 300, seed=4)
     matrix = to_sparse(prob.a)
-    got = engine._table_vnls_energies(prob.a, matrix, matrix @ prob.b.amplitudes,
+    got = engine._table_vnls_energies(matrix, matrix @ prob.b.amplitudes,
                                       prob.b, table, batch.indices, beta)
     want, _ = vnls_local_energies(prob.a, prob.b, psi, batch.indices, beta)
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    got_h = engine._table_energy_h(h, to_sparse(h), table, batch.indices)
+    got_h = engine._table_energy_h(to_sparse(h), table, batch.indices)
     want_h = local_energy_h(h, psi, batch.indices)
     np.testing.assert_allclose(got_h, want_h, rtol=1e-12)
 
 
 def test_whole_basis_energies_finite_wherever_the_row_path_is():
     # a_i = 100 spreads log psi over 1600 e-folds: psi divided by its basis
-    # maximum (at x = 0) underflows far from it, where the row path, scaled
-    # by the states its rows read, stays finite
+    # maximum (at x = 0) underflows far from it, but no draw reaches there,
+    # as a state's weight underflows first: every state a draw can reach
+    # lies less than 372.6 e-folds below the top, where the whole-basis
+    # energies agree with the row path, scaled by the states its rows read
     prob = ising_problem(8, 10.0)
     psi = init_gaussian(8, sigma=0.5, seed=0)
     theta = psi.get_params()
     theta[:8] = 100.0
     psi.set_params(theta)
     table = engine._BasisTable(psi)
-    basis = np.arange(256)
-    weight = np.bitwise_count(basis)
+    la = table.log_amps.real
+    drawable = np.exp(2.0 * (la - la.max())) > 0.0
+    assert np.all(la[drawable] > la.max() - 372.6)
+    assert np.any(np.exp(la - la.max()) == 0.0)  # psi underflows off the draws
+    reachable = np.flatnonzero(drawable)
+    sampled = engine._draw_pi(table, 64, seed=5).indices
+    assert np.isin(sampled, reachable).all()
+    weight = np.bitwise_count(np.arange(256))
     b = DenseState((weight >= 6).astype(float))  # beta rows far from the peak
     beta = sample_beta(b, 64, seed=1)
     matrix = to_sparse(prob.a)
-    sampled = metropolis_sample(table, 8, 64, chains=8, seed=5)[0].indices
-    far = basis[(weight == 6) | (weight == 7)]  # their rows read no state near the peak
-    assert np.all(table.log_amps.real[far] < table.log_amps.real.max() - engine._FAR)
-    for x in (sampled, far):
-        got = engine._table_vnls_energies(prob.a, matrix, matrix @ b.amplitudes,
+    for x in (sampled, reachable):
+        got = engine._table_vnls_energies(matrix, matrix @ b.amplitudes,
                                           b, table, x, beta)
         want, _ = vnls_local_energies(prob.a, b, psi, x, beta)
-        got_h = engine._table_energy_h(prob.a, matrix, table, x)
+        got_h = engine._table_energy_h(matrix, table, x)
         want_h = local_energy_h(prob.a, psi, x)
         for g, w in ((got, want), (got_h, want_h)):
             assert np.isfinite(w).all()
@@ -926,8 +931,6 @@ def test_tabulate_rule():
     table = engine._tabulate(psi, TrainConfig())
     x = np.array([3, 1023, 0, 3, 512, 7, 99, 3], dtype=np.int64)
     assert np.array_equal(table.log_amp(x), psi.log_amp(x))
-    assert np.array_equal(table.log_prob(x), psi.log_prob(x))
-    assert isinstance(table.log_prob(5), float)
     assert isinstance(table.log_amp(5), complex)
 
 
@@ -996,13 +999,13 @@ def _spied_epochs(monkeypatch, kind, flavor, tabulated):
     monkeypatch.setattr(engine, "metropolis_sample", spy_sample)
     train, log_grad, sr_solve = engine._train, type(psi).log_grad, engine._sr_solve
 
-    def spy_train(psi, config, energy_fn, target):
+    def spy_train(op, psi, config, energy_fn, *args, **kwargs):
         def energy(source, batch, epoch):
             l = energy_fn(source, batch, epoch)
             seen[-1].update(batch=batch, l=l,
                             l_drawn=energy_fn(source, seen[-1]["drawn"], epoch))
             return l
-        return train(psi, config, energy, target)
+        return train(op, psi, config, energy, *args, **kwargs)
 
     def spy_log_grad(self, x):
         seen[-1].update(grad_x=np.array(x),
