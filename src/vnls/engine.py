@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -72,8 +73,8 @@ from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute only because
 # perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
 # retires that replay
-from .operators import (DENSE_LIMIT, apply_to_state, expand_rows,  # noqa: F401
-                        to_sparse)
+from .operators import (DENSE_LIMIT, _check_qubits, apply_to_state,  # noqa: F401
+                        expand_rows, to_sparse)
 from .sampling import (SampleBatch, _BasisTable, _beta_cdf, _draw_beta,
                        _draw_pi, acceptance_stats, default_thin,
                        metropolis_sample)
@@ -207,8 +208,10 @@ def local_energy_h(h, psi, x, log_amp_x=None):
     ``log_amp_x`` may pass cached values of log psi at x.  A row whose sum
     overflows is summed again by _log_row_sums: where the true value
     exceeds float64 its real part is +-inf, and a real model on a real
-    operator keeps an imaginary part of exactly zero.
+    operator keeps an imaginary part of exactly zero.  psi must be on h's
+    qubits, else ValueError.
     """
+    _check_qubits(h, psi=psi)
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
     cols, vals = h.row_form().rows(xs)
     if log_amp_x is None:
@@ -241,9 +244,11 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     than _FAR e-folds below the shared shift, or that comes out
     non-finite, is summed again by _log_row_sums on its own scale, so it
     keeps its precision, and only a true value beyond float64 is infinite.
+    A must be Hermitian and psi and b on its qubits, else ValueError.
     """
     if not a.is_hermitian:
         raise ValueError("A must be Hermitian (real coefficients)")
+    _check_qubits(a, psi=psi, b=b)
     if len(beta_batch) == 0:
         raise ValueError("beta batch is empty")
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
@@ -591,8 +596,11 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
     """The SR loop of both trainers, on the energies energy_fn(source,
     batch, epoch); psi is updated in place.  With oracle_every set,
     fidelity is tracked against exact_target(limit) for the run's
-    dense_limit, which is read here only."""
-    _check_inputs(op, psi=psi, **states)
+    dense_limit, which is read here only.  The first epoch whose pi batch
+    holds one state, where the SR step is exactly zero, warns once."""
+    if not op.is_hermitian:
+        raise ValueError("the operator must be Hermitian (real coefficients)")
+    _check_qubits(op, psi=psi, **states)
     config.validate()
     limit = config.dense_limit
     target = None
@@ -627,6 +635,11 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         l_hat = complex(np.mean(l_all))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
         last_loss = l_hat.real
+        if indices.size == 1 and all(r.distinct_states > 1 for r in records):
+            warnings.warn(f"epoch {epoch}: every pi sample is state {indices[0]} (loss "
+                          f"{l_hat.real:.6g}), so the SR step is zero and psi moves only"
+                          " if a later epoch draws another state", RuntimeWarning,
+                          stacklevel=3)
         variance = float(np.mean(np.abs(l_all - l_hat) ** 2))
         w = counts / len(batch)
         oc = _centred(psi.log_grad(indices), w)  # the rows are ours
@@ -655,15 +668,6 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
             loss_imag=float(l_hat.imag), sr_fallback=fallback,
             distinct_states=int(indices.size)))
     return records
-
-
-def _check_inputs(op, **states):
-    """Raise ValueError unless op is Hermitian and each state on its qubits."""
-    if not op.is_hermitian:
-        raise ValueError("the operator must be Hermitian (real coefficients)")
-    for name, state in states.items():
-        if state.n != op.n:
-            raise ValueError(f"{name} is on {state.n} qubits but the operator on {op.n}")
 
 
 def train_vqmc(h, psi, config):

@@ -261,13 +261,21 @@ def apply_sum_row(h, x):
     return [(c, v) for c, v in merged.items() if abs(v) >= MERGE_TOL]
 
 
+def _check_qubits(op, **states):
+    """Raise ValueError unless each named state is on op's qubits."""
+    for name, state in states.items():
+        if state.n != op.n:
+            raise ValueError(f"{name} is on {state.n} qubits but the operator on {op.n}")
+
+
 def apply_to_state(h, psi, x):
     """(H psi)(x): grouped row values of H times the amplitudes at their
     columns, one amplitude read per distinct column.
 
-    psi is a Wavefunction; its amp is read at the columns.  Vectorizes
-    over an array of rows.
+    psi is a Wavefunction on h's qubits, else ValueError; its amp is read
+    at the columns.  Vectorizes over an array of rows.
     """
+    _check_qubits(h, psi=psi)
     xs = np.asarray(x, dtype=np.int64)
     cols, vals = h.row_form().rows(xs)
     amps = np.asarray(psi.amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)

@@ -45,12 +45,12 @@ over the table, as beta's are, with no chains.  The draws are independent,
 and as every value comes from one whole-basis call, a tabulated training
 run is bit for bit the same at any chain count and burn-in.
 
-Randomness is organized so runs are reproducible: every chain owns an
-independent generator derived from (entropy, *prefix, chain) through
-numpy's SeedSequence spawn keys, and all of a chain's draws happen in a
-fixed order (start state unless warm-started, flip positions, acceptance
-uniforms).  Chains are merged in chain order, never by completion time.
-An inverse-CDF draw takes one generator, on (entropy, *prefix).
+Randomness is organized so runs are reproducible: every call draws, in a
+fixed order, from one generator seeded by (entropy, *prefix), the prefix
+being numpy's SeedSequence spawn key.  A Metropolis call draws the start
+states unless warm-started (one per chain, then rounds of redraws for those
+off the support), then every step's flip positions, then every step's
+acceptance uniforms, each as one array of a row per step, in chain order.
 
 Exact enumeration of pi and beta (for small n) lives here too.
 """
@@ -100,17 +100,12 @@ def _walk_table():
 _WALK = _walk_table()
 
 
-def seed_seq(seed, *key):
-    """SeedSequence for stream ``key`` under a base seed.
-
-    ``seed`` is an int entropy value or a tuple (entropy, *prefix); the
-    prefix and key become the spawn key, so distinct streams never collide.
-    """
-    if isinstance(seed, (tuple, list)):
-        entropy, prefix = seed[0], tuple(int(v) for v in seed[1:])
-    else:
-        entropy, prefix = seed, ()
-    return np.random.SeedSequence(int(entropy), spawn_key=prefix + key)
+def seed_seq(seed):
+    """SeedSequence for a seed: an int entropy value or a tuple (entropy,
+    *prefix), whose prefix becomes the spawn key, so distinct streams never
+    collide."""
+    entropy, *prefix = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return np.random.SeedSequence(int(entropy), spawn_key=tuple(int(v) for v in prefix))
 
 
 @dataclass
@@ -118,7 +113,6 @@ class ChainState:
     """End-of-run snapshot of one Metropolis chain."""
 
     x: int
-    log_prob: float
     accepted: int
     proposed: int
 
@@ -173,20 +167,22 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
                       start=None):
     """Draw k samples of pi across ``chains`` single-bit-flip chains.
 
-    A proposal flips one uniformly chosen bit and is accepted with
-    probability min(1, |psi(x')/psi(x)|^2), evaluated in the log domain, so
-    rescaling psi by a constant changes nothing.  ``start`` takes the
-    ChainState list of an earlier call: chain c then continues from
-    start[c].x under the current psi instead of a drawn state.  burn_in
-    defaults to 10*n sweeps (10*n*n flips) for fresh chains and to 0 for
-    warm-started ones.  thin defaults to about one sweep but is kept odd: a
-    bit-flip walk alternates popcount parity whenever it moves, so an even
-    interval would lock a rarely-rejecting chain onto a single parity
-    class.  Proposals are scored in path windows along the all-accept
-    path, or in proposal trees of depth up to 4 where the chains rarely
-    all accept; the samples, acceptances and chain states are those of
-    one-proposal-at-a-time Metropolis.  Returns
-    (SampleBatch, [ChainState per chain]).
+    psi must be on n qubits, else ValueError.  A proposal flips one
+    uniformly chosen bit and is accepted with probability
+    min(1, |psi(x')/psi(x)|^2), evaluated in the log domain, so rescaling
+    psi by a constant changes nothing.  ``start`` takes the ChainState list
+    of an earlier call: chain c then continues from start[c].x under the
+    current psi instead of a drawn state.  burn_in defaults to 10*n sweeps
+    (10*n*n flips) for fresh chains and to 0 for warm-started ones.  thin
+    defaults to about one sweep but is kept odd: a bit-flip walk alternates
+    popcount parity whenever it moves, so an even interval would lock a
+    rarely-rejecting chain onto a single parity class.  One generator on
+    ``seed`` draws fresh start states (with one log_prob call per round of
+    redraws off the support), then flip positions, then uniforms.  Proposals
+    are scored in path windows along the all-accept path, or in proposal
+    trees of depth up to 4 where the chains rarely all accept; the samples,
+    acceptances and chain states are those of one-proposal-at-a-time
+    Metropolis.  Returns (SampleBatch, [ChainState per chain]).
     """
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
@@ -194,23 +190,15 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
         thin = default_thin(n)
     if n < 1 or k < 0 or chains < 1 or burn_in < 0 or thin < 1:
         raise ValueError("bad sampler arguments")
-    base = k // chains
-    counts = [base] * chains
-    counts[-1] += k - base * chains
-    rngs = [np.random.default_rng(seed_seq(seed, c)) for c in range(chains)]
+    if psi.n != n:
+        raise ValueError(f"psi is on {psi.n} qubits but the sampler on {n}")
+    counts = [k // chains] * chains
+    counts[-1] += k % chains
+    rng = np.random.default_rng(seed_seq(seed))
 
     size = 1 << n
     if start is None:
-        xs = np.empty(chains, dtype=np.int64)
-        for c, rng in enumerate(rngs):
-            x = int(rng.integers(0, size))
-            tries = 0
-            while psi.log_prob(x) == -np.inf:  # start on the support
-                x = int(rng.integers(0, size))
-                tries += 1
-                if tries > 100_000:
-                    raise ValueError("could not find a state with nonzero amplitude")
-            xs[c] = x
+        xs = rng.integers(0, size, chains)
     else:
         if len(start) != chains:
             raise ValueError(f"start holds {len(start)} chain states for {chains} chains")
@@ -218,27 +206,30 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
         if np.any((xs < 0) | (xs >= size)):
             raise ValueError(f"start states must lie in [0, 2^{n})")
     lp = np.asarray(psi.log_prob(xs), dtype=np.float64)
-    if np.any(lp == -np.inf):
-        raise ValueError("a start state has zero amplitude under psi")
+    tries = 0
+    while (dead := np.flatnonzero(lp == -np.inf)).size:
+        if start is not None:
+            raise ValueError("a start state has zero amplitude under psi")
+        tries += 1  # a fresh start off the support is redrawn
+        if tries > 100_000:
+            raise ValueError("could not find a state with nonzero amplitude")
+        xs[dead] = rng.integers(0, size, dead.size)
+        lp[dead] = psi.log_prob(xs[dead])
 
     chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
     steps = int(chain_steps.max())
-    positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
-    uniforms = np.stack([rng.random(steps) for rng in rngs])
+    flips = np.int64(1) << rng.integers(0, n, size=(steps, chains))
     with np.errstate(divide="ignore"):
-        log_u = np.log(uniforms)
-    flips = np.int64(1) << positions
+        log_u = np.log(rng.random((steps, chains)))
     # the all-accept share is seeded from the acceptance of the start chains
     share = math.prod(cs.acceptance for cs in start) if start is not None else 0.0
-    indices, xs, lp, accepted = _run_windows(
+    indices, xs, accepted = _run_windows(
         psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts, share)
 
-    log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
-                if k else np.zeros(0, np.complex128))
+    log_amps = np.asarray(psi.log_amp(indices), dtype=np.complex128)
     batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
-    states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
-                         int(chain_steps[c])) for c in range(chains)]
-    return batch, states
+    states = map(ChainState, xs.tolist(), accepted.tolist(), chain_steps.tolist())
+    return batch, list(states)
 
 
 @np.errstate(invalid="ignore")  # -inf - -inf past a zero of psi
@@ -247,16 +238,15 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
     """All chains in lockstep, their steps scored in path or tree windows.
 
     ``xs`` and ``lp`` hold the start states and their log pi; ``flips`` and
-    ``log_u`` each chain's flip masks and log acceptance uniforms, one row
-    per chain; ``hits`` the prior share of steps at which every chain
-    accepted.  Returns the recorded states in chain order, and each chain's
-    final state, its log pi and its accepted steps.
+    ``log_u`` the flip masks and log acceptance uniforms, one row per step
+    and one column per chain; ``hits`` the prior share of steps at which
+    every chain accepted.  Returns the recorded states in chain order, and
+    each chain's final state and its accepted steps.
     """
-    chains, steps = flips.shape
-    # Step-major tables.  A step past a chain's end flips no bit: its
-    # proposal is the chain's own state, which is accepted and moves nothing.
-    flips = np.where(np.arange(steps) < chain_steps[:, None], flips, 0).T.copy()
-    log_u = log_u.T.copy()
+    steps, chains = flips.shape
+    # A step past a chain's end flips no bit: its proposal is the chain's
+    # own state, which is accepted and moves nothing.
+    flips[np.arange(steps)[:, None] >= chain_steps] = 0
     x0 = xs
     accepts = np.empty((steps, chains), dtype=bool)
     path = np.empty((_MAX_WINDOW + 1, chains), dtype=np.int64)
@@ -337,7 +327,7 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
     visited = x0 ^ np.bitwise_xor.accumulate(moves, axis=0)  # state after each step
     recorded = visited[burn_in + thin - 1::thin]
     indices = np.concatenate([recorded[:count, c] for c, count in enumerate(counts)])
-    return indices, xs, lp, np.count_nonzero(moves, axis=0)
+    return indices, xs, np.count_nonzero(moves, axis=0)
 
 
 def _tree_block(flips, log_u, t, depth):
@@ -363,9 +353,7 @@ def _tree_block(flips, log_u, t, depth):
 
 def acceptance_stats(chain_states):
     """Mean acceptance ratio over chains."""
-    if not chain_states:
-        return 0.0
-    return float(np.mean([cs.acceptance for cs in chain_states]))
+    return float(np.mean([c.acceptance for c in chain_states])) if chain_states else 0.0
 
 
 def sample_beta(b, k, seed=0):
@@ -414,8 +402,7 @@ def _inverse_cdf(cdf, k, seed):
     on one generator for ``seed``.  A uniform u in [0, cdf[-1]) lands at
     the first position whose running sum exceeds it, so a position whose
     weight is zero is never drawn."""
-    rng = np.random.default_rng(seed_seq(seed))
-    u = rng.random(k) * cdf[-1]
+    u = np.random.default_rng(seed_seq(seed)).random(k) * cdf[-1]
     return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 

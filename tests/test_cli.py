@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, CSV output, config layering."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vnls
 from vnls import (PauliSum, PauliTerm, load_checkpoint, random_pauli_problem,
                   save_operator, save_problem)
 from vnls.cli import CSV_HEADER, main
@@ -169,6 +172,23 @@ def test_diverging_solve_exits_2_with_diagnosis(tmp_path, capsys):
                         "-o", tmp_path / "run.csv"], capsys)
     assert code == 2
     assert "training diverged at epoch 2" in err
+
+
+def test_stalled_solve_warns_on_stderr_and_exits_0(tmp_path):
+    # the first SR step puts pi on one basis state; exact draws then find
+    # only it, and the step stays exactly zero
+    path = tmp_path / "p.txt"
+    save_problem(random_pauli_problem(10, terms=40, seed=0), path)
+    env = dict(os.environ, PYTHONPATH=str(Path(vnls.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vnls.cli", "solve", "--problem", str(path),
+         "--lr", "0.02", "--epochs", "10", "--batch-size", "128", "--chains", "4",
+         "--seed", "0", "-o", str(tmp_path / "run.csv")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.count("RuntimeWarning") == 1
+    assert "epoch 1: every pi sample is state" in proc.stderr
+    assert len(read_rows(tmp_path / "run.csv")) == 1 + 10
 
 
 @pytest.mark.parametrize("argv", [

@@ -906,6 +906,35 @@ def test_trainers_refuse_a_model_sized_for_another_operator():
         train_vnls(prob.a, DenseState(np.ones(8)), init_gaussian(4, seed=1), config)
 
 
+def test_local_energy_h_refuses_a_model_sized_for_another_operator():
+    # an n = 8 model read at n = 4 rows gave finite energies without complaint
+    with pytest.raises(ValueError, match="psi is on 8 qubits but the operator on 4"):
+        local_energy_h(ising_problem(4, 10).a, init_gaussian(8), [3, 200])
+
+
+def test_vnls_local_energies_refuse_states_sized_for_another_operator():
+    prob = ising_problem(4, 10)
+    beta = sample_beta(prob.b, 8, seed=0)
+    with pytest.raises(ValueError, match="psi is on 8 qubits but the operator on 4"):
+        vnls_local_energies(prob.a, prob.b, init_gaussian(8), [3, 12], beta)
+    with pytest.raises(ValueError, match="b is on 3 qubits but the operator on 4"):
+        vnls_local_energies(prob.a, DenseState(np.ones(8)), init_gaussian(4),
+                            [3, 12], beta)
+
+
+def test_training_warns_once_when_the_batch_holds_one_state():
+    # a step too large for this operator's scale puts pi on one basis state
+    # after the first epoch; its centred rows, gradient and Fisher are zero
+    prob = random_pauli_problem(10, terms=40, seed=0)
+    psi = init_gaussian(10, seed=0)
+    config = TrainConfig(epochs=10, batch_size=128, chains=4, learning_rate=0.02, seed=0)
+    with pytest.warns(RuntimeWarning, match="epoch 1: every pi sample is state") as seen:
+        records = train_vnls(prob.a, prob.b, psi, config)
+    assert len([w for w in seen if w.category is RuntimeWarning]) == 1
+    assert [r.distinct_states for r in records[1:]] == [1] * 9
+    assert all(r.grad_norm == 0.0 for r in records[1:])
+
+
 def test_sr_state_defaults_are_train_config_defaults():
     sr = SRState(grad=np.zeros(1), fisher=np.zeros((1, 1)))
     for name in ("learning_rate", "shift", "ridge"):

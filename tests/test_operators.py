@@ -13,6 +13,7 @@ from vnls import (
     apply_term_row,
     apply_to_state,
     identity_sum,
+    init_gaussian,
     parse_pauli_sum,
     to_dense,
 )
@@ -117,6 +118,12 @@ def test_apply_to_state_frozen():
     psi = DenseState([2.0, 5.0])
     assert apply_to_state(parse_pauli_sum("1 X0", 1), psi, 0) == 5.0 + 0j
     assert apply_to_state(parse_pauli_sum("1 X0", 1), psi, 1) == 2.0 + 0j
+
+
+def test_apply_to_state_refuses_a_state_sized_for_another_operator():
+    # an n = 8 model read at n = 4 rows gave values without complaint
+    with pytest.raises(ValueError, match="psi is on 8 qubits but the operator on 4"):
+        apply_to_state(identity_sum(4), init_gaussian(8), [3, 200])
 
 
 def test_apply_to_state_matches_dense_matvec(rng):

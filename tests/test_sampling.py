@@ -69,6 +69,17 @@ def test_zero_amplitudes_never_sampled_and_starts_redraw():
     assert set(np.unique(batch.indices)) <= {3, 7, 11}
 
 
+def test_start_redraws_stop_after_100_000_rounds():
+    class Nowhere:  # zero amplitude on every state
+        n = 3
+
+        def log_prob(self, x):
+            return np.full(np.shape(x), -np.inf)
+
+    with pytest.raises(ValueError, match="could not find a state with nonzero"):
+        metropolis_sample(Nowhere(), 3, 8, chains=4, seed=0)
+
+
 def test_same_seed_same_batch():
     psi = init_gaussian(5, seed=7)
     a, sa = metropolis_sample(psi, 5, 512, chains=8, seed=11)
@@ -88,7 +99,7 @@ def test_seed_tuples_give_distinct_streams():
     assert not np.array_equal(a.indices, b.indices)
     assert not np.array_equal(a.indices, c.indices)
     # tuple layouts map onto SeedSequence spawn keys
-    assert seed_seq((5, 1, 0), 2).spawn_key == (1, 0, 2)
+    assert seed_seq((5, 1, 0, 2)).spawn_key == (1, 0, 2)
 
 
 def test_remainder_spread_and_chain_order():
@@ -108,7 +119,6 @@ def test_chain_state_fields():
     for s in states:
         assert s.proposed == 10 + 3 * 32
         assert 0 <= s.accepted <= s.proposed
-        assert s.log_prob == psi.log_prob(s.x)
     assert 0.0 <= acceptance_stats(states) <= 1.0
 
 
@@ -128,6 +138,13 @@ def test_bad_arguments_rejected():
         metropolis_sample(psi, 2, 16, chains=0)
     with pytest.raises(ValueError):
         metropolis_sample(psi, 2, 16, thin=0)
+
+
+def test_model_on_another_qubit_count_rejected():
+    # an n = 8 model sampled as n = 10 returned indices past its 256 states
+    for n in (10, 3):
+        with pytest.raises(ValueError, match="psi is on 8 qubits but the sampler on"):
+            metropolis_sample(init_gaussian(8), n, 64, chains=4, seed=1)
 
 
 def test_sample_beta_exact_ratios():
@@ -228,30 +245,37 @@ def test_warm_start_proposes_only_thin_times_count():
                                     start=fresh)
     assert len(batch) == 10
     assert [s.proposed for s in warm] == [3 * 2, 3 * 2, 3 * 2, 3 * 4]
-    for s in warm:
-        assert s.log_prob == psi.log_prob(s.x)
     # an explicit burn-in still applies to warm-started chains
     _, burned = metropolis_sample(psi, 3, 10, chains=4, burn_in=7, thin=3,
                                   seed=2, start=fresh)
     assert [s.proposed for s in burned] == [7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 4]
 
 
-def test_chained_warm_starts_total_variation(rng):
+def chained_warm_starts_total_variation(rng, chains):
+    """TV distance to pi of 20 warm-started calls of 5000 samples each."""
     n = int(rng.integers(2, 5))
     dim = 1 << n
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi = DenseState(v)
     target = np.abs(v) ** 2 / (np.abs(v) ** 2).sum()
-    _, states = metropolis_sample(psi, n, 0, chains=8, seed=(70, 0))
+    _, states = metropolis_sample(psi, n, 0, chains=chains, seed=(70, 0))
     draws = []
     for call in range(20):
-        batch, states = metropolis_sample(psi, n, 5_000, chains=8,
+        batch, states = metropolis_sample(psi, n, 5_000, chains=chains,
                                           seed=(70, 1, call), start=states)
         draws.append(batch.indices)
     indices = np.concatenate(draws)
     assert indices.size == 100_000
-    tv = 0.5 * np.abs(frequencies(indices, dim) - target).sum()
-    assert tv < 0.02
+    return 0.5 * np.abs(frequencies(indices, dim) - target).sum()
+
+
+def test_chained_warm_starts_total_variation(rng):
+    assert chained_warm_starts_total_variation(rng, 8) < 0.02
+
+
+def test_chained_warm_starts_total_variation_128_chains(rng):
+    # past 42 chains, where proposal trees stop; 39 samples per chain and call
+    assert chained_warm_starts_total_variation(rng, 128) < 0.02
 
 
 def test_bad_start_rejected():
@@ -261,10 +285,10 @@ def test_bad_start_rejected():
     _, states = metropolis_sample(psi, 3, 16, chains=4, seed=0)
     with pytest.raises(ValueError, match="chain states"):
         metropolis_sample(psi, 3, 16, chains=4, seed=1, start=states[:3])
-    dead = states[:3] + [ChainState(5, 0.0, 0, 0)]
+    dead = states[:3] + [ChainState(5, 0, 0)]
     with pytest.raises(ValueError, match="zero amplitude"):
         metropolis_sample(psi, 3, 16, chains=4, seed=1, start=dead)
-    outside = states[:3] + [ChainState(8, 0.0, 0, 0)]
+    outside = states[:3] + [ChainState(8, 0, 0)]
     with pytest.raises(ValueError, match="lie in"):
         metropolis_sample(psi, 3, 16, chains=4, seed=1, start=outside)
 
@@ -272,7 +296,8 @@ def test_bad_start_rejected():
 def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
                          start=None):
     """One proposal per lockstep step: the sampler loop before proposals
-    were scored in windows, kept verbatim as the reference."""
+    were scored in windows, kept as the reference, with the sampler's draws
+    from one generator."""
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
     if thin is None:
@@ -282,20 +307,18 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     base = k // chains
     counts = [base] * chains
     counts[-1] += k - base * chains
-    rngs = [np.random.default_rng(seed_seq(seed, c)) for c in range(chains)]
+    rng = np.random.default_rng(seed_seq(seed))
 
     size = 1 << n
     if start is None:
-        xs = np.empty(chains, dtype=np.int64)
-        for c, rng in enumerate(rngs):
-            x = int(rng.integers(0, size))
-            tries = 0
-            while psi.log_prob(x) == -np.inf:  # start on the support
-                x = int(rng.integers(0, size))
-                tries += 1
-                if tries > 100_000:
-                    raise ValueError("could not find a state with nonzero amplitude")
-            xs[c] = x
+        # one round of draws per redraw, for the chains still off the support
+        xs = rng.integers(0, size, chains)
+        tries = 0
+        while np.any(off := np.asarray(psi.log_prob(xs)) == -np.inf):
+            xs[off] = rng.integers(0, size, np.count_nonzero(off))
+            tries += 1
+            if tries > 100_000:
+                raise ValueError("could not find a state with nonzero amplitude")
     else:
         if len(start) != chains:
             raise ValueError(f"start holds {len(start)} chain states for {chains} chains")
@@ -308,20 +331,19 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
 
     chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
     steps = int(chain_steps.max())
-    if steps:
-        positions = np.stack([rng.integers(0, n, size=steps) for rng in rngs])
-        uniforms = np.stack([rng.random(steps) for rng in rngs])
+    positions = rng.integers(0, n, size=(steps, chains))
+    uniforms = rng.random((steps, chains))
     accepted = np.zeros(chains, dtype=np.int64)
     max_count = max(counts)
     recorded = np.empty((chains, max_count), dtype=np.int64)
 
     with np.errstate(divide="ignore"):
-        log_uniforms = np.log(uniforms) if steps else None
+        log_uniforms = np.log(uniforms)
     for step in range(steps):
         active = step < chain_steps
-        proposals = xs ^ (np.int64(1) << positions[:, step])
+        proposals = xs ^ (np.int64(1) << positions[step])
         prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
-        accept = (log_uniforms[:, step] < prop_lp - lp) & active
+        accept = (log_uniforms[step] < prop_lp - lp) & active
         xs = np.where(accept, proposals, xs)
         lp = np.where(accept, prop_lp, lp)
         accepted += accept
@@ -334,8 +356,8 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
                 if k else np.zeros(0, np.complex128))
     batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
-    states = [ChainState(int(xs[c]), float(lp[c]), int(accepted[c]),
-                         int(chain_steps[c])) for c in range(chains)]
+    states = [ChainState(int(xs[c]), int(accepted[c]), int(chain_steps[c]))
+              for c in range(chains)]
     return batch, states
 
 
@@ -378,6 +400,8 @@ ARGS = [
     dict(k=37, chains=1),
     dict(k=50, chains=3, burn_in=5, thin=2),
     dict(k=512, chains=32),  # depth-2 proposal trees
+    dict(k=512, chains=64),  # one-step windows only, past 42 chains
+    dict(k=1024, chains=128),
 ]
 
 
@@ -408,6 +432,7 @@ class Recorder:
 
     def __init__(self, psi):
         self.psi = psi
+        self.n = psi.n
         self.flavor = getattr(psi, "flavor", None)
         self.calls = []
 
@@ -438,8 +463,10 @@ def window_kinds(calls, chains):
 
 def test_windows_span_paths_and_trees():
     widths, trees = set(), 0
-    for model in ("ones", "real-0.01", "real-0.2", "real-1"):
-        psi, n = MODELS[model]()
+    # sigma 0.03 accepts ~0.95 of flips per chain, so all eight chains accept
+    # at about half of the steps: the window width of p in [1/2, 2/3) is 2
+    models = [MODELS[m]() for m in ("ones", "real-0.01", "real-0.2", "real-1")]
+    for psi, n in models + [(_rbm("real", 0.03), 6)]:
         _, states = metropolis_sample(psi, n, 1024, chains=8, seed=5)
         rec = Recorder(psi)
         metropolis_sample(rec, n, 1024, chains=8, seed=6, start=states)
