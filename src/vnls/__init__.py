@@ -72,7 +72,6 @@ from .states import (
     dense_vector,
     init_gaussian,
     load_checkpoint,
-    log2cosh,
     save_checkpoint,
     spins,
 )
@@ -96,5 +95,5 @@ __all__ = [
     "ChainState", "SampleBatch", "acceptance_stats", "metropolis_sample",
     "sample_beta",
     "DenseState", "Rbm", "Wavefunction", "dense_vector", "init_gaussian",
-    "load_checkpoint", "log2cosh", "save_checkpoint", "spins",
+    "load_checkpoint", "save_checkpoint", "spins",
 ]

@@ -34,7 +34,7 @@ cancels in every ratio the estimators form, so nothing here can overflow
 on its own.
 
 When the basis is small against the proposals an epoch would make
-(2^n <= c * batch_size * thin, with c set by the model's flavor; see
+(2^n <= c * batch_size * thin, with c = 6 for either RBM flavor; see
 _tabulate), training evaluates log psi over the whole basis once per
 parameter set, by basis_log_amp, draws the epoch's pi samples from that
 table, and hands it to the energy functions and the fidelity check in
@@ -73,8 +73,8 @@ from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute only because
 # perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
 # retires that replay
-from .operators import (DENSE_LIMIT, _check_qubits, apply_to_state,  # noqa: F401
-                        expand_rows, to_sparse)
+from .operators import (DENSE_LIMIT, _check_qubits, _log_row_sums,  # noqa: F401
+                        apply_to_state, expand_rows, to_sparse)
 from .sampling import (SampleBatch, _BasisTable, _beta_cdf, _draw_beta,
                        _draw_pi, acceptance_stats, default_thin,
                        metropolis_sample)
@@ -84,29 +84,28 @@ _PI_STREAM = 0
 _BETA_STREAM = 1
 
 
-# Whole-basis table entries worth one Metropolis step on the model, by
-# flavor: training tabulates where 2^n <= c * batch_size * thin.  Median warm
-# epochs of vqmc on the critical transverse-field chain (batch 1024, 8
-# chains, one BLAS thread, 2 shared cores, two runs), exact draws from the
-# table against the model, at r = 2^n / (batch_size * thin):
+# Whole-basis table entries worth one Metropolis step on the model:
+# training tabulates where 2^n <= c * batch_size * thin.  Median warm epochs
+# of vqmc on the critical transverse-field chain (batch 1024, 8 chains, one
+# BLAS thread, 2 shared cores), exact draws from the table against the
+# model, at r = 2^n / (batch_size * thin):
 #   real     r = 3.8: 30-31 / 61-65 ms, r = 7.5: 57-59 / 75 ms,
-#            r = 13.5: 87-96 / 65-86 ms;
-#   complex  r = 1.1: 60-77 / 193-224 ms, r = 2.1: 146-151 / 228-242 ms,
-#            r = 3.8: 285-339 / 261-285 ms, r = 7.5: 497-550 / 204-246 ms.
-# The real crossover lies near r = 10, past c = 6; a larger c moves runs
-# onto the table, to be judged on a workload past n = 16.
-_TABLE_COST = {"real": 6, "complex": 3}
+#            r = 13.5: 87-96 / 65-86 ms (two runs);
+#   complex  r = 3.8: 94-140 / 141-202 ms, r = 6.0: 83-112 / 94-100 ms,
+#            r = 7.5: 190-230 / 181-198 ms (three runs).
+# The crossovers lie near r = 6 (complex) and r = 10 (real); a larger c
+# moves real runs onto the table, to be judged on a workload past n = 16.
+_TABLE_COST = 6
 
 
 def _tabulate(psi, config):
     """The amplitude source for psi's current parameters: its whole-basis
-    _BasisTable where 2^n <= c * batch_size * thin (thin as given, else the
-    sampler's default; c from _TABLE_COST by psi's flavor, 1 for a model
-    without one), else psi itself, as it is for a DenseState.  The table
-    holds 16 * 2^n bytes, at most 96 * batch_size * thin."""
+    _BasisTable where 2^n <= _TABLE_COST * batch_size * thin (thin as
+    given, else the sampler's default), else psi itself, as it is for a
+    DenseState.  The table holds 16 * 2^n bytes, at most 96 * batch_size *
+    thin."""
     thin = default_thin(psi.n) if config.thin is None else config.thin
-    cost = _TABLE_COST.get(getattr(psi, "flavor", None), 1)
-    if isinstance(psi, DenseState) or (1 << psi.n) > cost * config.batch_size * thin:
+    if isinstance(psi, DenseState) or (1 << psi.n) > _TABLE_COST * config.batch_size * thin:
         return psi
     return _BasisTable(psi)
 
@@ -179,25 +178,6 @@ class _AmpTable:
         value = complex(value)
         re, im = (p * self._unscale if p else p for p in (value.real, value.imag))
         return complex(re, im)
-
-
-def _log_row_sums(vals, log_ratios):
-    """Row sums of vals * exp(log_ratios) where they overflow or lose psi(x).
-
-    Each row is scaled by its own largest real log ratio, so its terms stay
-    finite and none underflows against another row's, and the row's scale
-    is restored to the real and imaginary parts apart: a part the scale
-    overflows becomes +-inf, and an exact zero part stays zero rather than
-    0 * inf = nan.
-    """
-    top = log_ratios.real.max(axis=1)
-    sums = (vals * np.exp(log_ratios - top[:, None])).sum(axis=1)
-    out = np.empty_like(sums)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(top)
-        out.real = np.where(sums.real != 0.0, sums.real * scale, sums.real)
-        out.imag = np.where(sums.imag != 0.0, sums.imag * scale, sums.imag)
-    return out
 
 
 def local_energy_h(h, psi, x, log_amp_x=None):

@@ -268,18 +268,44 @@ def _check_qubits(op, **states):
             raise ValueError(f"{name} is on {state.n} qubits but the operator on {op.n}")
 
 
+def _log_row_sums(vals, log_ratios):
+    """Row sums of vals * exp(log_ratios) where they overflow or lose psi(x).
+
+    Each row is scaled by its own largest real log ratio, so its terms stay
+    finite and none underflows against another row's, and the row's scale
+    is restored to the real and imaginary parts apart: a part the scale
+    overflows becomes +-inf, and an exact zero part stays zero rather than
+    0 * inf = nan.
+    """
+    top = log_ratios.real.max(axis=1)
+    sums = (vals * np.exp(log_ratios - top[:, None])).sum(axis=1)
+    out = np.empty_like(sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(top)
+        out.real = np.where(sums.real != 0.0, sums.real * scale, sums.real)
+        out.imag = np.where(sums.imag != 0.0, sums.imag * scale, sums.imag)
+    return out
+
+
 def apply_to_state(h, psi, x):
     """(H psi)(x): grouped row values of H times the amplitudes at their
     columns, one amplitude read per distinct column.
 
     psi is a Wavefunction on h's qubits, else ValueError; its amp is read
-    at the columns.  Vectorizes over an array of rows.
+    at the columns, which keeps a stored vector's exact zeros.  A row where
+    a model's amplitude overflows is summed again by _log_row_sums, from
+    log_amp.  Vectorizes over an array of rows.
     """
     _check_qubits(h, psi=psi)
     xs = np.asarray(x, dtype=np.int64)
     cols, vals = h.row_form().rows(xs)
-    amps = np.asarray(psi.amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)
-    out = (vals * amps).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = np.asarray(psi.amp(cols.reshape(-1)), dtype=np.complex128).reshape(cols.shape)
+        out = (vals * amps).sum(axis=1)
+    bad = ~np.isfinite(amps).all(axis=1)
+    if bad.any():
+        log_amps = np.asarray(psi.log_amp(cols[bad].reshape(-1)), dtype=np.complex128)
+        out[bad] = _log_row_sums(vals[bad], log_amps.reshape(-1, cols.shape[1]))
     return complex(out[0]) if xs.ndim == 0 else out
 
 

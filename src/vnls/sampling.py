@@ -28,14 +28,15 @@ window costs one XOR, one log_prob call, one comparison and the lookup; its
 accept flags are decoded once, after the last window.  A tree advances D
 steps per call whatever the acceptance.  D is the deepest depth up to 4
 with chains * (2^D - 1) <= 128 states (4 at the default 8 chains, 1 from 43
-chains on); a complex-flavor RBM keeps D = 1, since complex exp and log make
-its extra states cost more than the calls they save.  At D = 1, and for the
-last steps of a call when fewer than D remain, a K of 1 takes a path
-window of one proposal per chain.  Windows change which states share a
-log_prob call, nothing else: the proposals, uniforms and comparisons are
-those of one proposal per step, so the samples, acceptances and chain
-states are exactly those of one-proposal-at-a-time Metropolis, as
-log_prob gives a state the same value whatever else is in the call.
+chains on); a complex-flavor RBM keeps D = 1, since its complex exp and
+product per hidden angle make the extra states cost more than the calls
+they save.  At D = 1, and for the last steps of a call when fewer than D
+remain, a K of 1 takes a path window of one proposal per chain.  Windows
+change which states share a log_prob call, nothing else: the proposals,
+uniforms and comparisons are those of one proposal per step, so the
+samples, acceptances and chain states are exactly those of
+one-proposal-at-a-time Metropolis, as log_prob gives a state the same
+value whatever else is in the call.
 DenseState and Rbm both do, at any chain count.
 
 Where the basis is small against an epoch's proposals, training holds a
@@ -252,8 +253,8 @@ def _run_windows(psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts,
     path = np.empty((_MAX_WINDOW + 1, chains), dtype=np.int64)
     path_lp = np.empty((_MAX_WINDOW + 1, chains))
     # The deepest tree whose non-root states fit in one call of _TREE_STATES.
-    # A complex-flavor RBM pays complex exp and log on every hidden angle,
-    # so its extra tree states cost more than the calls they save.
+    # A complex-flavor RBM pays a complex exp and product on every hidden
+    # angle, so its extra tree states cost more than the calls they save.
     depth = 1 if getattr(psi, "flavor", None) == "complex" else min(
         _MAX_DEPTH, max(1, (_TREE_STATES // chains + 1).bit_length() - 1))
     nodes = (1 << depth) - 1

@@ -7,7 +7,8 @@ for the per-parameter derivatives of log psi, and a flat parameter vector
 ordered [a, c, W.ravel()] for the RBM.  The RBM forms its hidden angles
 from per-byte tables of its weights, by gathering rows for a list of
 indices and by broadcasting the tables against each other for the whole
-basis, and evaluates both with one formula, so the two agree bit for bit.
+basis, and evaluates both with one formula for either flavor, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +26,11 @@ DEFAULT_ALPHA = 2.0
 DEFAULT_SIGMA = {"real": 0.01, "complex": 0.05}
 # Rows per Rbm evaluation block, so that its temporaries stay cache-sized
 _BLOCK = 1024
-# Most factors in (1, 2] in one product; 2^512 is far from overflow
+# Most factors, each of modulus <= 2, in one product; 2^512 is far from overflow
 _PRODUCT_ROWS = 512
+# A block product of modulus e^_LOG_FLOOR or more had no partial product
+# below the smallest normal float, as its later factors raise it <= 2^512
+_LOG_FLOOR = math.log(np.finfo(np.float64).tiny) + _PRODUCT_ROWS * math.log(2.0)
 # Row v holds the spins 1 - 2 * bit j of v, for bits j = 0..7 of a byte
 _BYTE_SPINS = 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1)
 
@@ -40,25 +44,6 @@ def spins(x, n):
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = (xs[..., None] >> shifts) & 1
     return 1.0 - 2.0 * bits
-
-
-def log2cosh(z):
-    """log(2 cosh z) without overflow for large |Re z|: zp + log(1 + e^(-2 zp))
-    for zp = z or -z, whichever has Re zp >= 0, in one work array."""
-    z = np.asarray(z)
-    if z.ndim == 0:
-        return log2cosh(z[None])[0]
-    is_complex = np.iscomplexobj(z)
-    zp = np.where(z.real < 0.0, -z, z) if is_complex else np.abs(z)  # cosh is even
-    t = np.multiply(zp, -2.0)
-    np.exp(t, out=t)
-    if is_complex:
-        t += 1.0
-        np.log(t, out=t)
-    else:
-        np.log1p(t, out=t)
-    t += zp
-    return t
 
 
 class Wavefunction:
@@ -118,14 +103,14 @@ class Rbm(Wavefunction):
     basis_log_amp gathers nothing: it broadcasts the low byte's table
     against the higher bytes', adding in the same order, so it equals
     log_amp(arange(2^n)) bit for bit.  Both lay the angles out hidden-major
-    (one column per state) and take log psi as a . s + sum_j |theta_j| +
-    log prod_j (1 + e^(-2|theta_j|)) for the real flavor, one log per
-    state, and as a . s + sum_j log 2cosh(theta_j) for the complex one,
-    summing down the hidden units in order, so a state's value does not
-    depend on the other states in the call.  The tables are built on the
-    first evaluation after __init__ or set_params.  a, c and w are
-    read-only arrays, so the tables cannot go stale; set_params is the only
-    way to change them.
+    (one column per state) and, for either flavor, take log psi as
+    a . s + sum_j theta_j + log prod_j (1 + e^(-2 theta_j)) with each angle
+    flipped to Re theta_j >= 0, one log per block of hidden units (see
+    _from_angles), summing down the hidden units in order, so a state's
+    value does not depend on the other states in the call.  The tables are
+    built on the first evaluation after __init__ or set_params.  a, c and w
+    are read-only arrays, so the tables cannot go stale; set_params is the
+    only way to change them.
     """
 
     def __init__(self, a, c, w, flavor="real", seed=None):
@@ -236,24 +221,31 @@ class Rbm(Wavefunction):
         """log psi from an (m+1, states) array of rows [a . s, theta_1..m]
         over at least two states; acc may be overwritten.
 
-        Every sum and product runs down the hidden rows in order, one state
-        per column, so a state's value does not depend on the other
-        columns.  The real flavor takes log 2cosh(theta) = |theta| +
-        log(1 + e^(-2|theta|)) and multiplies the factors, each in (1, 2],
-        before one log per state, _PRODUCT_ROWS at a time so that the
-        product cannot overflow.  The complex flavor keeps one log2cosh per
-        angle, as a product of complex factors could underflow.
+        With each angle flipped to Re theta >= 0 (cosh is even), log psi is
+        a . s + sum theta + log prod (1 + e^(-2 theta)), one log per block
+        of _PRODUCT_ROWS factors, summed down the hidden rows in order, one
+        state per column, so a state's value does not depend on the other
+        columns.  Real factors lie in (1, 2]; a state whose block log falls
+        below _LOG_FLOOR, which only complex factors reach, may have lost
+        precision to underflow and has its block summed one log per factor.
         """
         hidden = acc[1:]
-        if self.flavor == "complex":
-            return acc[0] + log2cosh(hidden).sum(axis=0)
-        np.abs(hidden, out=hidden)
+        if hidden.dtype.kind == "c":
+            np.negative(hidden, out=hidden, where=hidden.real < 0.0)
+        else:
+            np.abs(hidden, out=hidden)
         out = acc.sum(axis=0)
         hidden *= -2.0
         np.exp(hidden, out=hidden)
         hidden += 1.0
-        for i in range(0, self.m, _PRODUCT_ROWS):
-            out += np.log(hidden[i:i + _PRODUCT_ROWS].prod(axis=0))
+        with np.errstate(divide="ignore"):  # a complex block may reach 0
+            for i in range(0, self.m, _PRODUCT_ROWS):
+                factors = hidden[i:i + _PRODUCT_ROWS]
+                logs = np.log(factors.prod(axis=0))
+                if logs.real.min(initial=0.0) < _LOG_FLOOR:
+                    low = logs.real < _LOG_FLOOR  # one contiguous row per state
+                    logs[low] = np.log(factors.T[low]).sum(axis=1)
+                out += logs
         return out
 
     def log_amp(self, x):

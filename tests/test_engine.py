@@ -942,16 +942,16 @@ def test_sr_state_defaults_are_train_config_defaults():
 
 
 def test_tabulate_rule():
-    # thin defaults to 11; 2^10 <= c * batch * thin, c = 6 real, 3 complex
+    # thin defaults to 11; 2^10 <= c * batch * thin, c = 6 for either flavor
     psi = init_gaussian(10, seed=0)
     assert isinstance(engine._tabulate(psi, TrainConfig(batch_size=16)),
                       engine._BasisTable)
     assert engine._tabulate(psi, TrainConfig(batch_size=15)) is psi
     assert engine._tabulate(psi, TrainConfig(batch_size=15, thin=12)) is not psi
     complex_psi = init_gaussian(10, seed=0, flavor="complex")
-    assert isinstance(engine._tabulate(complex_psi, TrainConfig(batch_size=32)),
+    assert isinstance(engine._tabulate(complex_psi, TrainConfig(batch_size=16)),
                       engine._BasisTable)
-    assert engine._tabulate(complex_psi, TrainConfig(batch_size=31)) is complex_psi
+    assert engine._tabulate(complex_psi, TrainConfig(batch_size=15)) is complex_psi
     # the oracle's dense limit does not bound the table
     assert isinstance(engine._tabulate(psi, TrainConfig(dense_limit=9)),
                       engine._BasisTable)

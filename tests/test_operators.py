@@ -1,5 +1,7 @@
 """Row-lookup operators against independent dense Kronecker references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from vnls.operators import (
     parse_operator_text,
     save_operator,
 )
-from vnls.states import DenseState
+from vnls.states import DenseState, Rbm
 
 from conftest import kron_sum, kron_term, random_sum
 
@@ -134,6 +136,21 @@ def test_apply_to_state_matches_dense_matvec(rng):
         xs = np.arange(1 << n, dtype=np.int64)
         got = apply_to_state(h, DenseState(v), xs)
         assert np.allclose(got, dense @ v, rtol=1e-12, atol=1e-12)
+
+
+def test_apply_to_state_sums_overflowing_model_rows_in_the_log_domain():
+    # a = 200 puts log psi(0) near 805, past float64's exponent range
+    psi = Rbm(np.full(4, 200.0), np.zeros(8), np.zeros((8, 4)))
+    assert psi.log_amp(0).real > 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the terms cancel on row 0: the true value is 0, not inf - inf
+        assert apply_to_state(parse_pauli_sum("1 Z0\n-1 Z1", 4), psi, 0) == 0.0
+        got = apply_to_state(parse_pauli_sum("1 X3\n-1 X2", 4), psi, [1, 5])
+    # psi(0) - psi(3) exceeds float64; psi(4) - psi(7) is finite
+    assert got[0].real == np.inf and got[0].imag == 0.0
+    want = np.exp(psi.log_amp(4).real) - np.exp(psi.log_amp(7).real)
+    assert got[1] == pytest.approx(want, rel=1e-12) and got[1].imag == 0.0
 
 
 def test_expand_rows_shape():

@@ -496,7 +496,8 @@ def test_proposal_trees_need_few_log_prob_calls():
 
 
 def test_complex_rbm_keeps_one_step_windows():
-    # its per-state log_prob cost outweighs the calls a tree saves
+    # its per-state log_prob cost, a complex exp and product per hidden
+    # angle, outweighs the calls a tree saves
     psi, n = MODELS["complex-1"]()
     _, states = metropolis_sample(psi, n, 1024, chains=8, seed=5)
     rec = Recorder(psi)

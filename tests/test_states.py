@@ -12,7 +12,6 @@ from vnls import (
     dense_vector,
     init_gaussian,
     load_checkpoint,
-    log2cosh,
     save_checkpoint,
     spins,
 )
@@ -28,6 +27,17 @@ def brute_log_amp(rbm, x):
         z = rbm.c[j] + np.dot(rbm.w[j], s)
         total += np.log(2.0 * np.cosh(z))
     return total
+
+
+def assert_log_amps_close(got, want):
+    # relative to 1 + |log psi|; the imaginary part modulo 2 pi, as each
+    # log 2cosh may sit on another branch of the complex log
+    got, want = np.asarray(got), np.asarray(want, dtype=complex)
+    tol = 1e-12 * (1.0 + np.abs(want))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got.real - want.real) <= tol)
+    turns = (got.imag - want.imag) / (2 * np.pi)
+    assert np.all(np.abs(turns - np.round(turns)) * 2 * np.pi <= tol)
 
 
 def test_spins_convention():
@@ -137,13 +147,7 @@ def test_byte_tables_match_brute_force(n, flavor):
     psi = init_gaussian(n, alpha=1.5, sigma=0.3, seed=n, flavor=flavor)
     x = np.concatenate([[0, (1 << n) - 1],
                         np.random.default_rng(n).integers(0, 1 << n, size=40)])
-    got = psi.log_amp(x)
-    want = np.array([brute_log_amp(psi, int(v)) for v in x], dtype=complex)
-    tol = 1e-12 * (1.0 + np.abs(want))
-    assert np.all(np.abs(got.real - want.real) <= tol)
-    # each log 2cosh may sit on another branch of the complex log
-    turns = (got.imag - want.imag) / (2 * np.pi)
-    assert np.all(np.abs(turns - np.round(turns)) * 2 * np.pi <= tol)
+    assert_log_amps_close(psi.log_amp(x), [brute_log_amp(psi, int(v)) for v in x])
 
 
 @pytest.mark.parametrize("n", [4, 9, 16, 17])
@@ -162,13 +166,20 @@ def test_log_prob_independent_of_batch_bitwise(n, flavor):
 @pytest.mark.parametrize("flavor", ["real", "complex"])
 def test_basis_log_amp_equals_log_amp_bitwise(n, flavor):
     # one byte, a partial byte, exactly one, one and a bit, two, two and a bit
-    for seed, sigma in enumerate((0.01, 1.0, 3.0)):
-        psi = init_gaussian(n, sigma=sigma, seed=seed, flavor=flavor)
+    models = [init_gaussian(n, sigma=sigma, seed=seed, flavor=flavor)
+              for seed, sigma in enumerate((0.01, 1.0, 3.0))]
+    if flavor == "complex":
+        # the block products of the even states underflow and are summed
+        # again; a call on an even and an odd state sums one state again
+        models.append(_underflowing_rbm(n, 120, seed=n, w_last=0.5))
+    for seed, psi in enumerate(models):
         whole = psi.basis_log_amp()
         assert whole.dtype == np.complex128
         assert np.array_equal(whole, psi.log_amp(np.arange(1 << n)))
         x = np.random.default_rng(seed).integers(0, 1 << n, size=5)
         assert np.array_equal(whole[x], [psi.log_amp(int(v)) for v in x])
+        for pair in np.stack([x & ~1, x | 1], axis=1):
+            assert np.array_equal(whole[pair], psi.log_amp(pair))
 
 
 def test_real_rbm_past_one_product_of_factors():
@@ -227,16 +238,48 @@ def test_log_grad_equals_concatenated_formula_bitwise(n, flavor):
     assert np.array_equal(psi.log_grad(int(x[0])), psi.log_grad(x[:1])[0])
 
 
-def test_log2cosh_accuracy_and_range():
-    zs = np.linspace(-20.0, 20.0, 4001)
-    assert np.allclose(log2cosh(zs), np.log(2.0 * np.cosh(zs)), rtol=1e-12)
-    with np.errstate(over="raise"):
-        big = log2cosh(np.array([1e4, -1e4]))
-    assert np.allclose(big, 1e4 + math.log(1.0))  # 2cosh(z) -> e^|z|
-    zc = np.array([3.0 + 1.5j, -3.0 - 0.5j, 0.2 - 2.0j])
-    assert np.allclose(log2cosh(zc), np.log(2.0 * np.cosh(zc)), rtol=1e-12)
-    with np.errstate(over="raise"):
-        log2cosh(np.array([1e4 + 2.0j, -1e4 + 2.0j]))
+@pytest.mark.parametrize("flavor", ["real", "complex"])
+def test_angles_of_1e4_give_the_analytic_log_amp(flavor):
+    # 2cosh(theta) = e^theta (1 + e^(-2 theta)) = e^theta in float64 once
+    # Re theta >= 1e4, so log psi = a . s + sum_j theta_j with each angle
+    # flipped to Re theta_j >= 0; e^(2 * 1e4) would overflow
+    shift = 2.0j if flavor == "complex" else 0.0
+    a = np.array([0.3, -0.2]) + shift / 10
+    c = np.array([1e4, -1e4]) + shift
+    w = np.array([[1.0, -1.0], [0.5, 2.0]]) + shift / 4
+    psi = Rbm(a, c, w, flavor=flavor)
+    s = spins(np.arange(4), 2)
+    theta = c + s @ w.T
+    want = s @ a + np.where(theta.real < 0.0, -theta, theta).sum(axis=1)
+    with np.errstate(over="raise", invalid="raise"):
+        for got in (psi.basis_log_amp(), psi.log_amp(np.arange(4)),
+                    [psi.log_amp(v) for v in range(4)]):
+            assert_log_amps_close(got, want)
+    assert np.abs(want.real).min() > 1e4 - 10.0
+
+
+def _underflowing_rbm(n, m, seed, w_last=0.0):
+    # complex angles near i pi/2 + 0.01, where each factor 1 + e^(-2 theta)
+    # is about 0.02, so a product of m of them lies near 0.02^m; w_last on
+    # the last qubit moves the angles of half the states away from there
+    rng = np.random.default_rng(seed)
+    c = 1j * np.pi / 2 + 0.01 - w_last + 0.002 * rng.normal(size=m)
+    w = 1e-3 * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+    w[:, -1] += w_last
+    a = 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return Rbm(a, c, w, flavor="complex")
+
+
+def test_complex_block_product_underflow_is_summed_per_factor():
+    # two blocks; 0.02^512 lies far below the smallest subnormal, so the
+    # first block's product is 0
+    psi = _underflowing_rbm(3, 600, seed=0)
+    assert psi.m > states._PRODUCT_ROWS
+    want = np.array([brute_log_amp(psi, v) for v in range(8)])
+    assert np.all(want.real < -2000.0)
+    for got in (psi.basis_log_amp(), psi.log_amp(np.arange(8)),
+                [psi.log_amp(v) for v in range(8)]):
+        assert_log_amps_close(got, want)
 
 
 def test_param_round_trip_identity(rng):
