@@ -122,18 +122,20 @@ def _init_model(cfg, n):
                          seed=cfg["seed"], flavor=_flavor(cfg))
 
 
-def write_csv(path, records):
-    """RFC-4180 CSV of EpochRecords; floats via repr, empty fidelity when
-    tracking is off, wall time rounded to integer milliseconds."""
+def write_csv(path, header, rows):
+    """RFC-4180 CSV file of a header row, then rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([
-                r.epoch, repr(r.loss), repr(r.loss_var), repr(r.grad_norm),
-                repr(r.acceptance),
-                "" if r.fidelity is None else repr(r.fidelity),
-                int(round(r.wall_ms))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _record_row(r):
+    """An EpochRecord's CSV_HEADER row: floats via repr, empty fidelity when
+    tracking is off, wall time rounded to integer milliseconds."""
+    return [r.epoch, repr(r.loss), repr(r.loss_var), repr(r.grad_norm),
+            repr(r.acceptance), "" if r.fidelity is None else repr(r.fidelity),
+            int(round(r.wall_ms))]
 
 
 def _run(cfg, a, b, out, checkpoint):
@@ -147,7 +149,7 @@ def _run(cfg, a, b, out, checkpoint):
         records = train_vqmc(a, psi, config)
     else:
         records = train_vnls(a, b, psi, config)
-    write_csv(out, records)
+    write_csv(out, CSV_HEADER, map(_record_row, records))
     if checkpoint:
         save_checkpoint(psi, checkpoint)
     if b is None:
@@ -197,10 +199,7 @@ def cmd_oracle(args):
         for key, value in checks.items():
             print(f"ising_{key}={value!r}")
     if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(report.CSV_FIELDS)
-            writer.writerow(report.to_csv_row())
+        write_csv(args.output, report.CSV_FIELDS, [report.to_csv_row()])
     return 0
 
 
@@ -262,14 +261,10 @@ def cmd_ising_scan(args):
             problem = ising_problem(n, kappa)
             sol = exact_solve(problem.a, problem.b, cfg["dense_limit"])
             fid = fidelity(problem.b.amplitudes, sol)
-            rows.append((n, kappa, fid))
+            rows.append((n, repr(kappa), repr(fid)))
             print(f"ising-scan: n={n} kappa={kappa:g} fidelity={fid:.8f}")
     if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("n", "kappa", "fidelity"))
-            for n, kappa, fid in rows:
-                writer.writerow((n, repr(kappa), repr(fid)))
+        write_csv(args.output, ("n", "kappa", "fidelity"), rows)
     return 0
 
 

@@ -74,7 +74,7 @@ from .errors import CapabilityError
 # perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
 # retires that replay
 from .operators import (DENSE_LIMIT, _check_qubits, _log_row_sums,  # noqa: F401
-                        apply_to_state, expand_rows, to_sparse)
+                        _rescale, apply_to_state, expand_rows, to_sparse)
 from .sampling import (SampleBatch, _BasisTable, _beta_cdf, _draw_beta,
                        _draw_pi, acceptance_stats, default_thin,
                        metropolis_sample)
@@ -172,12 +172,8 @@ class _AmpTable:
 
     def unscale(self, value):
         # restore a complex scalar linear in scaled psi to the true scale;
-        # may overflow to inf for states with extreme log magnitudes.  The
-        # parts are scaled apart so that an exact zero part stays zero
-        # rather than becoming 0 * inf = nan.
-        value = complex(value)
-        re, im = (p * self._unscale if p else p for p in (value.real, value.imag))
-        return complex(re, im)
+        # may overflow to inf for states with extreme log magnitudes
+        return complex(_rescale(value, self._unscale))
 
 
 def local_energy_h(h, psi, x, log_amp_x=None):
@@ -609,8 +605,7 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         indices, first, inverse, counts = np.unique(
             batch.indices, return_index=True, return_inverse=True,
             return_counts=True)
-        l = energy_fn(source, SampleBatch(indices, batch.source,
-                                          batch.log_amps[first]), epoch)
+        l = energy_fn(source, SampleBatch(indices, batch.log_amps[first]), epoch)
         l_all = l[inverse]  # the batch's N energies, for its mean and variance
         l_hat = complex(np.mean(l_all))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)

@@ -268,23 +268,29 @@ def _check_qubits(op, **states):
             raise ValueError(f"{name} is on {state.n} qubits but the operator on {op.n}")
 
 
+def _rescale(values, scale):
+    """values * scale with the real and imaginary parts scaled apart: a part
+    the scale overflows becomes +-inf, and an exact zero part stays zero
+    rather than 0 * inf = nan.  scale broadcasts against values."""
+    values = np.asarray(values, dtype=np.complex128)
+    out = np.empty_like(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out.real = np.where(values.real != 0.0, values.real * scale, values.real)
+        out.imag = np.where(values.imag != 0.0, values.imag * scale, values.imag)
+    return out
+
+
 def _log_row_sums(vals, log_ratios):
     """Row sums of vals * exp(log_ratios) where they overflow or lose psi(x).
 
     Each row is scaled by its own largest real log ratio, so its terms stay
-    finite and none underflows against another row's, and the row's scale
-    is restored to the real and imaginary parts apart: a part the scale
-    overflows becomes +-inf, and an exact zero part stays zero rather than
-    0 * inf = nan.
+    finite and none underflows against another row's, and _rescale restores
+    the row's scale.
     """
     top = log_ratios.real.max(axis=1)
     sums = (vals * np.exp(log_ratios - top[:, None])).sum(axis=1)
-    out = np.empty_like(sums)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.exp(top)
-        out.real = np.where(sums.real != 0.0, sums.real * scale, sums.real)
-        out.imag = np.where(sums.imag != 0.0, sums.imag * scale, sums.imag)
-    return out
+    with np.errstate(over="ignore"):
+        return _rescale(sums, np.exp(top))
 
 
 def apply_to_state(h, psi, x):
@@ -385,15 +391,19 @@ def parse_term_line(line, n, lineno=0):
         raise ParseError(f"line {lineno}: {exc}: {line!r}") from None
 
 
-def parse_pauli_sum(text, n):
-    """Parse term lines (one per line, '#' comments) into a PauliSum."""
-    terms = []
+def _numbered_lines(text):
+    """(line number, line) for each line of text that is not blank once its
+    '#' comment is stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        terms.append(parse_term_line(line, n, lineno))
-    return PauliSum(terms, n)
+        if line:
+            yield lineno, line
+
+
+def parse_pauli_sum(text, n):
+    """Parse term lines (one per line, '#' comments) into a PauliSum."""
+    return PauliSum([parse_term_line(line, n, lineno)
+                     for lineno, line in _numbered_lines(text)], n)
 
 
 def format_term(t):
@@ -418,9 +428,7 @@ def parse_header(text):
     Returns (n, body): body yields the (line number, line) pairs after the
     header, with comments and blank lines dropped.
     """
-    stripped = ((lineno, raw.split("#", 1)[0].strip())
-                for lineno, raw in enumerate(text.splitlines(), start=1))
-    body = ((lineno, line) for lineno, line in stripped if line)
+    body = _numbered_lines(text)
     lineno, line = next(body, (None, None))
     if line is None:
         raise ParseError("missing n=<int> header")

@@ -124,10 +124,10 @@ class ChainState:
 
 @dataclass
 class SampleBatch:
-    """Basis indices drawn from one distribution, with cached log psi."""
+    """Basis indices drawn from one distribution, with their cached log
+    amplitudes: log psi for draws from pi, log b for draws from beta."""
 
     indices: np.ndarray
-    source: str  # "pi" or "beta"
     log_amps: np.ndarray
 
     def __len__(self):
@@ -228,7 +228,7 @@ def metropolis_sample(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
         psi, xs, lp, flips, log_u, chain_steps, burn_in, thin, counts, share)
 
     log_amps = np.asarray(psi.log_amp(indices), dtype=np.complex128)
-    batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
+    batch = SampleBatch(indices=indices, log_amps=log_amps)
     states = map(ChainState, xs.tolist(), accepted.tolist(), chain_steps.tolist())
     return batch, list(states)
 
@@ -380,8 +380,7 @@ def _draw_beta(b, support_cdf, k, seed):
     """sample_beta with b's support and CDF from _beta_cdf(b)."""
     support, cdf = support_cdf
     indices = support[_inverse_cdf(cdf, k, seed)].astype(np.int64)
-    return SampleBatch(indices=indices, source="beta",
-                       log_amps=np.log(b.amplitudes[indices]))
+    return SampleBatch(indices=indices, log_amps=np.log(b.amplitudes[indices]))
 
 
 def _draw_pi(table, k, seed):
@@ -395,7 +394,7 @@ def _draw_pi(table, k, seed):
     la = table.log_amps.real
     cdf = np.cumsum(np.exp(2.0 * (la - la.max())))
     indices = _inverse_cdf(cdf, k, seed).astype(np.int64)
-    return SampleBatch(indices=indices, source="pi", log_amps=table.log_amps[indices])
+    return SampleBatch(indices=indices, log_amps=table.log_amps[indices])
 
 
 def _inverse_cdf(cdf, k, seed):
@@ -419,6 +418,6 @@ def enumerate_beta(b):
     """Exact beta batch over the support of b: (SampleBatch, weights)."""
     support = np.flatnonzero(b.amplitudes)
     w = np.abs(b.amplitudes[support]) ** 2
-    batch = SampleBatch(indices=support.astype(np.int64), source="beta",
+    batch = SampleBatch(indices=support.astype(np.int64),
                         log_amps=np.log(b.amplitudes[support]))
     return batch, w / w.sum()

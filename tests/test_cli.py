@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import vnls
-from vnls import (PauliSum, PauliTerm, load_checkpoint, random_pauli_problem,
-                  save_operator, save_problem)
+from vnls import (PauliSum, PauliTerm, exact_solve, fidelity, ising_problem,
+                  load_checkpoint, random_pauli_problem, save_operator,
+                  save_problem)
 from vnls.cli import CSV_HEADER, main
 
 FAST = ["--epochs", "4", "--batch-size", "64", "--chains", "2"]
@@ -397,6 +398,17 @@ def test_ising_scan_fidelity_monotone(tmp_path, capsys):
         assert len(fids) == 4
         assert all(b >= a for a, b in zip(fids, fids[1:]))
         assert min(fids) > 0.99
+    # one row per (kappa, n) in scan order, each float written by repr
+    expected = []
+    for kappa in (10.0, 50.0):
+        for n in range(4, 8):
+            problem = ising_problem(n, kappa)
+            fid = fidelity(problem.b.amplitudes, exact_solve(problem.a, problem.b))
+            expected.append([str(n), repr(kappa), repr(fid)])
+    assert rows[1:] == expected
+    printed = [line.split()[1:] for line in stdout.splitlines()]
+    assert printed == [[f"n={n}", f"kappa={float(kappa):g}",
+                        f"fidelity={float(fid):.8f}"] for n, kappa, fid in rows[1:]]
     assert stdout.count("ising-scan:") == 8
 
 

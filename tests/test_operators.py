@@ -216,6 +216,9 @@ def test_parse_errors(text, fragment):
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError, match="line 3"):
         parse_pauli_sum("1 X0\n1 Z0\n1 Q0", 2)
+    # comment and blank lines count toward the number but are not parsed
+    with pytest.raises(ParseError, match="line 5: malformed Pauli token 'Q0'"):
+        parse_pauli_sum("# terms\n\n1 X0  # first\n   \n1 Q0 # bad", 2)
 
 
 @pytest.mark.parametrize("coefficient", [float("nan"), float("inf"),

@@ -150,7 +150,7 @@ def test_model_on_another_qubit_count_rejected():
 def test_sample_beta_exact_ratios():
     b = DenseState([1.0, 2.0])
     batch = sample_beta(b, 50_000, seed=6)
-    assert batch.source == "beta"
+    assert np.array_equal(batch.log_amps, np.log(b.amplitudes[batch.indices]))
     p = 4.0 / 5.0
     sigma = np.sqrt(p * (1 - p) / len(batch))
     assert abs((batch.indices == 1).mean() - p) < 4 * sigma
@@ -207,7 +207,6 @@ def test_table_draws_match_born_weights(flavor):
     observed = np.bincount(batch.indices, minlength=64)
     chi2 = ((observed - expected) ** 2 / expected).sum()
     assert scipy.stats.chi2.sf(chi2, df=63) > 1e-3
-    assert batch.source == "pi"
     assert np.array_equal(batch.log_amps, psi.log_amp(batch.indices))
 
 
@@ -355,7 +354,7 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
         [recorded[c, :counts[c]] for c in range(chains)]) if k else np.zeros(0, np.int64)
     log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
                 if k else np.zeros(0, np.complex128))
-    batch = SampleBatch(indices=indices, source="pi", log_amps=log_amps)
+    batch = SampleBatch(indices=indices, log_amps=log_amps)
     states = [ChainState(int(xs[c]), int(accepted[c]), int(chain_steps[c]))
               for c in range(chains)]
     return batch, states
