@@ -78,14 +78,10 @@ class RunConfig(dict):
         check_init_options(cfg["alpha"], cfg["sigma"], _flavor(cfg))
         return cfg
 
-    def validate(self, n=None):
-        """The model name, and exact tracking only for a problem size n
-        within the dense limit."""
+    def validate(self):
+        """The model name."""
         if self["model"] not in _MODELS:
             raise ParseError(f"unknown model {self['model']!r}")
-        if n is not None and self["oracle_every"] and n > self["dense_limit"]:
-            raise ParseError(
-                f"oracle_every needs n <= {self['dense_limit']}, got n={n}")
 
 
 def _resolve_problem(args):
@@ -101,9 +97,6 @@ def _resolve_problem(args):
             kappa = float(kappa_text)
         except ValueError:
             raise ParseError(f"bad --ising arguments: {n_text} {kappa_text}") from None
-        if n > 24:
-            raise CapabilityError("right-hand-side storage is dense; n > 24 "
-                                  "is beyond this build")
         return ising_problem(n, kappa)
     return load_problem(problem_path)
 
@@ -142,7 +135,6 @@ def _run(cfg, a, b, out, checkpoint):
     """One training run, of the solver on (a, b) or, with b None, of the
     ground-state search on a: initialise the model, train it, write the CSV
     to out and the model to checkpoint (if given), and print the report."""
-    cfg.validate(a.n)
     psi = _init_model(cfg, a.n)
     config = _train_config(cfg)
     if b is None:
@@ -285,7 +277,9 @@ def _add_run_options(sub):
     sub.add_argument("--epochs", type=int)
     sub.add_argument("--batch-size", dest="batch_size", type=int)
     sub.add_argument("--chains", type=int,
-                     help="Metropolis chains, where the basis is too large to tabulate")
+                     help="Metropolis chains, where the basis is too large to "
+                          "tabulate (default one per 8 samples, at least 32 and "
+                          "at most one per sample)")
     sub.add_argument("--burn-in", dest="burn_in", type=int,
                      help="flips before each chain's first sample; burn-in runs "
                           "once per training run (default 10*n*n)")

@@ -93,8 +93,12 @@ _BETA_STREAM = 1
 #            r = 13.5: 87-96 / 65-86 ms (two runs);
 #   complex  r = 3.8: 94-140 / 141-202 ms, r = 6.0: 83-112 / 94-100 ms,
 #            r = 7.5: 190-230 / 181-198 ms (three runs).
-# The crossovers lie near r = 6 (complex) and r = 10 (real); a larger c
-# moves real runs onto the table, to be judged on a workload past n = 16.
+# At those 8 chains the crossovers lay near r = 6 (complex) and r = 10
+# (real).  At the default chain count (128 at batch 1024) the model is
+# faster, table / model: real r = 3.8: 20 / 21 ms, r = 7.5: 35-39 / 24 ms;
+# complex r = 3.8: 86 / 56 ms, r = 7.5: 166-172 / 66-71 ms, while its first
+# epoch pays the burn-in (136-192 ms real, 460-600 ms complex).  So c is
+# likely too large now; it is to be judged on a workload past n = 16.
 _TABLE_COST = 6
 
 
@@ -497,15 +501,16 @@ class TrainConfig:
     """Knobs shared by both training loops.
 
     validate() holds every rule on these fields: epochs, seed and
-    oracle_every are integers >= 0; batch_size, chains and dense_limit are
-    integers >= 1; burn_in is None or an integer >= 0; thin is None or an
-    integer >= 1; learning_rate, shift and ridge are finite and positive.
+    oracle_every are integers >= 0; batch_size and dense_limit are integers
+    >= 1; chains and thin are None or integers >= 1; burn_in is None or an
+    integer >= 0; learning_rate, shift and ridge are finite and positive.
     bool is not taken for a number.
     """
 
     epochs: int = 1000
     batch_size: int = 1024
-    chains: int = 8                 # chains and burn_in act only past the table
+    chains: Optional[int] = None    # None -> sampling.default_chains(batch_size);
+                                    # chains and burn_in act only past the table
                                     # rule (see _tabulate)
     burn_in: Optional[int] = None   # flips before a chain's first sample, applied
                                     # once per run (epoch 0); None -> 10*n*n
@@ -523,7 +528,7 @@ class TrainConfig:
                           ("burn_in", 0), ("thin", 1), ("seed", 0),
                           ("oracle_every", 0), ("dense_limit", 1)):
             v = getattr(self, name)
-            if v is None and name in ("burn_in", "thin"):
+            if v is None and name in ("chains", "burn_in", "thin"):
                 continue
             if not _is_number(v, numbers.Integral) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")

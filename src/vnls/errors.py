@@ -10,4 +10,5 @@ class ParseError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """A request exceeded the configured exact-oracle size limit."""
+    """A request exceeded a size limit: the exact oracle's configured one,
+    or problems.B_LIMIT on a dense right-hand side."""

@@ -14,9 +14,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import CapabilityError, ParseError
 from .operators import PauliSum, PauliTerm, format_term, parse_header, parse_term_line
 from .states import DenseState
+
+
+# Largest n for which a right-hand side b is built or loaded: b is stored
+# dense, 16 bytes per basis state (256 MiB at n = 24)
+B_LIMIT = 24
+
+
+def _check_b_size(n):
+    if n > B_LIMIT:
+        raise CapabilityError(f"right-hand-side storage is dense; n > {B_LIMIT} "
+                              f"is beyond this build, got n={n}")
 
 
 class LinearProblem:
@@ -48,13 +59,15 @@ def ising_problem(n, kappa):
     """The conditioned benchmark problem on n >= 2 qubits, finite kappa > 1.
 
     Term order is fixed: n X terms, n-1 nearest-neighbor ZZ terms, one
-    identity term.  b is the unnormalized all-ones vector.
+    identity term.  b is the unnormalized all-ones vector; n > B_LIMIT
+    raises CapabilityError before it is allocated.
     """
     n = int(n)
     if n < 2:
         raise ValueError("n must be at least 2")
     if not (kappa > 1 and np.isfinite(kappa)):
         raise ValueError(f"kappa must be finite and greater than 1, got {kappa!r}")
+    _check_b_size(n)
     kappa = float(kappa)
     eta = n * (kappa + 1.0) / (kappa - 1.0)
     zeta = n + eta
@@ -73,7 +86,8 @@ def random_pauli_problem(n, terms=6, seed=0, locality=3, margin=0.5):
     Hermiticity, so none are drawn.  A shift of sum|coef| + margin on the
     identity makes the operator positive definite (``terms=0`` therefore
     yields a multiple of the identity).  b gets Gaussian entries on a
-    random quarter of the basis.
+    random quarter of the basis; n > B_LIMIT raises CapabilityError before
+    b is allocated.
     """
     n = int(n)
     if n < 1:
@@ -82,6 +96,7 @@ def random_pauli_problem(n, terms=6, seed=0, locality=3, margin=0.5):
         raise ValueError("terms must be >= 0")
     if not margin > 0:
         raise ValueError("margin must be positive")
+    _check_b_size(n)
     rng = np.random.default_rng(seed)
     term_list = []
     total = 0.0
@@ -139,8 +154,12 @@ def _parse_floats(parts, lineno, what):
 
 
 def load_problem(path):
-    """Inverse of save_problem, with line-numbered parse errors."""
+    """Inverse of save_problem, with line-numbered parse errors.
+
+    A header n > B_LIMIT raises CapabilityError before the body is parsed.
+    """
     n, body = parse_header(Path(path).read_text(encoding="utf-8"))
+    _check_b_size(n)
     kappa = None
     terms = []
     mode = None

@@ -155,10 +155,13 @@ def test_raised_dense_limit_reaches_every_oracle_call(argv):
     assert run(argv) == 0
 
 
-def test_solve_oracle_every_needs_small_n():
-    # exact tracking on a problem beyond the dense limit is a config error
+def test_solve_oracle_every_needs_small_n(tmp_path):
+    # exact tracking on a problem beyond the dense limit is a request past
+    # the oracle's capability, refused by the library before any epoch
+    out = tmp_path / "never.csv"
     assert run(["solve", "--ising", 4, 10, "--oracle-every", 1,
-                "--dense-limit", 3, "-o", "/tmp/never.csv"] + FAST) == 2
+                "--dense-limit", 3, "-o", out] + FAST) == 3
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -222,6 +225,14 @@ def test_unallocatable_alpha_exits_2_with_one_line(tmp_path, capsys):
 
 def test_solve_beyond_rhs_capability_exits_3():
     assert run(["solve", "--ising", 30, 10, "-o", "/tmp/never.csv"]) == 3
+
+
+def test_problem_file_beyond_rhs_capability_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(vnls.problems, "B_LIMIT", 3)
+    path = tmp_path / "p.txt"
+    path.write_text("n=4\n1.0 Z0\nb sparse\n0 1.0\n", encoding="utf-8")
+    code, _, err = run(["solve", "--problem", path, "-o", tmp_path / "never.csv"], capsys)
+    assert code == 3 and "n > 3" in err
 
 
 def test_config_file_layering(tmp_path):

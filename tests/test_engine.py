@@ -532,6 +532,13 @@ def test_train_carries_chain_states_across_epochs(monkeypatch):
         assert [s.proposed for s in states] == [3 * 16] * 4  # no second burn-in
 
 
+def test_default_config_runs_one_chain_per_8_samples(monkeypatch):
+    prob = ising_problem(5, 10.0)
+    calls = _recorded_train(monkeypatch, init_gaussian(5, seed=3), prob,
+                            TrainConfig(epochs=2))
+    assert [len(states) for _, _, states in calls] == [1024 // 8] * 2
+
+
 @pytest.mark.parametrize("flavor", ["real", "complex"])
 def test_an_epochs_sr_arrays_are_gone_before_the_next_rows(monkeypatch, flavor):
     # when epoch k+1 asks for its N x p rows, epoch k's rows and p x p SR

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vnls import (
+    CapabilityError,
     DenseState,
     LinearProblem,
     ParseError,
@@ -18,6 +19,7 @@ from vnls import (
     save_problem,
 )
 
+import vnls.problems
 from conftest import kron_sum
 
 GOLDEN_ISING_3 = (
@@ -100,6 +102,18 @@ def test_ising_argument_validation():
         ising_problem(4, 1.0)
     with pytest.raises(ValueError):
         ising_problem(4, 0.5)
+
+
+def test_dense_b_past_the_limit_refused_before_it_is_built(tmp_path, monkeypatch):
+    monkeypatch.setattr(vnls.problems, "B_LIMIT", 3)
+    # the header is checked before the body, which would not parse
+    path = tmp_path / "p.txt"
+    path.write_text("n=4\nnot a term\n", encoding="utf-8")
+    for build in (lambda: ising_problem(4, 10.0), lambda: random_pauli_problem(4),
+                  lambda: load_problem(path)):
+        with pytest.raises(CapabilityError, match="n > 3"):
+            build()
+    assert ising_problem(3, 10.0).n == random_pauli_problem(3).n == 3
 
 
 @pytest.mark.parametrize("kappa", [float("inf"), float("nan")])
