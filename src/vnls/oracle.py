@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, apply_term_row, to_dense,
                         to_sparse)
-from .states import DenseState, Wavefunction, dense_vector
+from .states import DenseState, Wavefunction, _pow2_normalized, dense_vector
 
 
 def _as_vector(state, n, limit=DENSE_LIMIT):
@@ -55,10 +55,16 @@ def exact_solve(a, b, limit=DENSE_LIMIT):
     non-Hermitian sum or a CG miss of the residual bound (breakdown on an
     indefinite spectrum, or a near-singular A).
 
+    b is scaled by a power of two first (_pow2_normalized) and the
+    solution scaled back by the same power, both exact, so the solve and
+    its residual test see the same numbers at any scale of b:
+    exact_solve(a, 2^j b) == 2^j exact_solve(a, b) wherever neither
+    solution leaves the normal range.
+
     Raises numpy.linalg.LinAlgError when A is singular or so
     ill-conditioned that the relative residual exceeds 1e-10.
     """
-    vec = _as_vector(b, a.n, limit)
+    vec, e = _pow2_normalized(_as_vector(b, a.n, limit))
     mat = to_sparse(a, limit)
     tol = 1e-10 * max(np.linalg.norm(vec), 1e-300)
 
@@ -66,27 +72,31 @@ def exact_solve(a, b, limit=DENSE_LIMIT):
         return bool(np.all(np.isfinite(x))
                     and np.linalg.norm(mat @ x - vec) <= tol)
 
+    x = None
     if a.is_hermitian:
         # exact-arithmetic CG ends within dim steps; a breakdown divides by
         # zero inside cg and leaves non-finite x for the residual check
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x, _ = spla.cg(mat, vec, rtol=1e-12, atol=0.0,
                            maxiter=mat.shape[0])
-        if trustworthy(x):
-            return x
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.MatrixRankWarning)
-        x = np.asarray(spla.spsolve(mat.tocsc(), vec), dtype=np.complex128)
-    if not trustworthy(x):
-        raise np.linalg.LinAlgError("singular or too ill-conditioned for a "
-                                    "trustworthy exact solve")
-    return x
+    if x is None or not trustworthy(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            x = np.asarray(spla.spsolve(mat.tocsc(), vec), dtype=np.complex128)
+        if not trustworthy(x):
+            raise np.linalg.LinAlgError("singular or too ill-conditioned for a "
+                                        "trustworthy exact solve")
+    return np.ldexp(np.ascontiguousarray(x).view(np.float64), e).view(np.complex128)
 
 
 def fidelity(u, v):
-    """|<u|v>|^2 / (<u|u> <v|v>): scale- and phase-invariant overlap."""
-    u = np.asarray(u, dtype=np.complex128).reshape(-1)
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    """|<u|v>|^2 / (<u|u> <v|v>): scale- and phase-invariant overlap.
+
+    u and v are each scaled by a power of two first (_pow2_normalized),
+    which is exact, so no scale of either overflows or underflows a norm.
+    """
+    u, _ = _pow2_normalized(np.reshape(u, -1))
+    v, _ = _pow2_normalized(np.reshape(v, -1))
     nu = np.vdot(u, u).real
     nv = np.vdot(v, v).real
     if nu == 0.0 or nv == 0.0:
@@ -104,10 +114,12 @@ def exact_loss(a, b, psi, limit=DENSE_LIMIT):
 
     Pb projects out the b direction, so with w = A psi the value is
     (<w|w> - |<b|w>|^2 / <b|b>) / <psi|psi>, clamped at zero against
-    roundoff.  Zero exactly when psi is proportional to A^{-1} b.
+    roundoff.  Zero exactly when psi is proportional to A^{-1} b.  b and
+    psi are each scaled by a power of two first (_pow2_normalized), so the
+    value is the same at any scale of either.
     """
-    vec_b = _as_vector(b, a.n, limit)
-    vec_psi = _as_vector(psi, a.n, limit)
+    vec_b, _ = _pow2_normalized(_as_vector(b, a.n, limit))
+    vec_psi, _ = _pow2_normalized(_as_vector(psi, a.n, limit))
     w = to_sparse(a, limit) @ vec_psi
     num = np.vdot(w, w).real - abs(np.vdot(vec_b, w)) ** 2 / np.vdot(vec_b, vec_b).real
     return float(max(0.0, num / np.vdot(vec_psi, vec_psi).real))
@@ -204,8 +216,9 @@ def ground_state(h, limit=DENSE_LIMIT):
 
 
 def rayleigh_quotient(h, psi, limit=DENSE_LIMIT):
-    """<psi|H|psi> / <psi|psi> evaluated exactly."""
-    v = _as_vector(psi, h.n, limit)
+    """<psi|H|psi> / <psi|psi> evaluated exactly, with psi first scaled by
+    a power of two (_pow2_normalized), so at any scale of psi."""
+    v, _ = _pow2_normalized(_as_vector(psi, h.n, limit))
     w = to_sparse(h, limit) @ v
     return float((np.vdot(v, w) / np.vdot(v, v)).real)
 
@@ -251,8 +264,10 @@ def check_error_bound(a, b, psi, solution=None, spectrum=None,
 
     The quotient kappa/||A|| equals 1/|lambda|_min, which makes the bound
     invariant under rescaling A; rescaling b cancels inside L and the
-    fidelity.  ``solution`` and ``spectrum = (norm, kappa)`` may be passed
-    to amortize repeated checks against one problem.
+    fidelity, bit for bit at any scale of b whose solution stays in the
+    normal range, as exact_solve, exact_loss and fidelity first scale b by
+    a power of two.  ``solution`` and ``spectrum = (norm, kappa)`` may be
+    passed to amortize repeated checks against one problem.
     """
     vec_psi = _as_vector(psi, a.n, limit)
     sol = exact_solve(a, b, limit) if solution is None else _as_vector(solution, a.n, limit)

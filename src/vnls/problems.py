@@ -164,7 +164,7 @@ def load_problem(path):
     terms = []
     mode = None
     dense_vals = []
-    sparse_vals = []
+    sparse_vals = {}
     for lineno, line in body:
         if kappa is None and mode is None and not terms and line.startswith("kappa="):
             kappa, = _parse_floats([line[6:]], lineno, "kappa")
@@ -195,8 +195,12 @@ def load_problem(path):
                 idx = int(parts[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad index {parts[0]!r}") from None
+            if not 0 <= idx < 1 << n:
+                raise ParseError(f"line {lineno}: sparse b index {idx} out of range for n={n}")
+            if idx in sparse_vals:
+                raise ParseError(f"line {lineno}: duplicate sparse b index {idx}")
             vals = _parse_floats(parts[1:], lineno, "amplitude")
-            sparse_vals.append((idx, complex(vals[0], vals[1] if len(vals) == 2 else 0.0)))
+            sparse_vals[idx] = complex(vals[0], vals[1] if len(vals) == 2 else 0.0)
     if mode is None:
         raise ParseError("missing b section ('b dense' or 'b sparse')")
     dim = 1 << n
@@ -207,8 +211,6 @@ def load_problem(path):
         amps = np.array(dense_vals, dtype=np.complex128)
     else:
         amps = np.zeros(dim, dtype=np.complex128)
-        for idx, val in sparse_vals:
-            if not 0 <= idx < dim:
-                raise ParseError(f"sparse b index {idx} out of range for n={n}")
+        for idx, val in sparse_vals.items():
             amps[idx] = val
     return LinearProblem(PauliSum(terms, n), DenseState(amps), kappa=kappa)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import DENSE_LIMIT
-from .states import dense_vector
+from .states import _pow2_normalized, dense_vector
 
 
 def seed_seq(seed):
@@ -124,17 +124,19 @@ def metropolis_sample(psi, n, k, chains=None, burn_in=None, thin=None, seed=0,
     uniformly chosen bit and is accepted with probability
     min(1, |psi(x')/psi(x)|^2), evaluated in the log domain, so rescaling
     psi by a constant changes nothing.  chains defaults to
-    default_chains(k); each chain takes k // chains samples, and the last
-    one the remainder too.  ``start`` takes the ChainState list of an
-    earlier call: chain c then continues from start[c].x under the current
-    psi instead of a drawn state.  burn_in defaults to 10*n sweeps
-    (10*n*n flips) for fresh chains and to 0 for warm-started ones.  thin
-    defaults to about one sweep but is kept odd: a bit-flip walk alternates
-    popcount parity whenever it moves, so an even interval would lock a
-    rarely-rejecting chain onto a single parity class.  One generator on
+    default_chains(k).  Every chain runs the same burn_in + thin *
+    ceil(k / chains) lockstep steps; chain c gives its first k // chains
+    samples, plus one more for the first k % chains chains, in chain order.
+    ``start`` takes the ChainState list of an earlier call: chain c then
+    continues from start[c].x under the current psi instead of a drawn
+    state.  burn_in defaults to 10*n sweeps (10*n*n flips) for fresh
+    chains and to 0 for warm-started ones.  thin defaults to about one
+    sweep but is kept odd: a bit-flip walk alternates popcount parity
+    whenever it moves, so an even interval would lock a rarely-rejecting
+    chain onto a single parity class.  One generator on
     ``seed`` draws fresh start states (with one log_prob call per round of
     redraws off the support), then flip positions, then uniforms; each
-    step then takes one log_prob call over the chains still running.
+    step then takes one log_prob call over all chains.
     Returns (SampleBatch, [ChainState per chain]).
     """
     if chains is None:
@@ -147,8 +149,6 @@ def metropolis_sample(psi, n, k, chains=None, burn_in=None, thin=None, seed=0,
         raise ValueError("bad sampler arguments")
     if psi.n != n:
         raise ValueError(f"psi is on {psi.n} qubits but the sampler on {n}")
-    counts = [k // chains] * chains
-    counts[-1] += k % chains
     rng = np.random.default_rng(seed_seq(seed))
 
     size = 1 << n
@@ -171,35 +171,30 @@ def metropolis_sample(psi, n, k, chains=None, burn_in=None, thin=None, seed=0,
         xs[dead] = rng.integers(0, size, dead.size)
         lp[dead] = psi.log_prob(xs[dead])
 
-    chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
-    steps = int(chain_steps[-1])
+    per_chain = -(-k // chains)  # ceil(k / chains): the samples every chain runs for
+    steps = burn_in + thin * per_chain
     flips = np.int64(1) << rng.integers(0, n, size=(steps, chains))
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random((steps, chains)))
 
-    recorded = np.empty((counts[-1], chains), dtype=np.int64)
+    recorded = np.empty((per_chain, chains), dtype=np.int64)
     accepted = np.zeros(chains, dtype=np.int64)
-    shared = int(chain_steps[0])  # steps of every chain; the last may take more
-    live = 0  # the first chain still running
     for t in range(steps):
-        if t == shared:
-            live = chains - 1
-        x, x_lp = xs[live:], lp[live:]
-        proposal = x ^ flips[t, live:]
+        proposal = xs ^ flips[t]
         proposal_lp = psi.log_prob(proposal)
-        accept = log_u[t, live:] < proposal_lp - x_lp
-        np.copyto(x, proposal, where=accept)
-        np.copyto(x_lp, proposal_lp, where=accept)
-        accepted[live:] += accept
+        accept = log_u[t] < proposal_lp - lp
+        np.copyto(xs, proposal, where=accept)
+        np.copyto(lp, proposal_lp, where=accept)
+        accepted += accept
         sample, offset = divmod(t + 1 - burn_in, thin)
         if offset == 0 and sample > 0:
-            recorded[sample - 1, live:] = x
+            recorded[sample - 1] = xs
 
-    indices = np.concatenate([recorded[:count, c] for c, count in enumerate(counts)])
-    log_amps = np.asarray(psi.log_amp(indices), dtype=np.complex128)
-    batch = SampleBatch(indices=indices, log_amps=log_amps)
-    states = map(ChainState, xs.tolist(), accepted.tolist(), chain_steps.tolist())
-    return batch, list(states)
+    # chain c gives k // chains samples, and one more if c < k % chains
+    counts = k // chains + (np.arange(chains) < k % chains)
+    indices = recorded.T[np.arange(per_chain) < counts[:, None]]
+    batch = SampleBatch(indices, np.asarray(psi.log_amp(indices), dtype=np.complex128))
+    return batch, [ChainState(x, a, steps) for x, a in zip(xs.tolist(), accepted.tolist())]
 
 
 def acceptance_stats(chain_states):
@@ -218,12 +213,14 @@ def sample_beta(b, k, seed=0):
 
 def _beta_cdf(b):
     """(support, cdf): b's nonzero indices and the running sum of |b|^2
-    over them, which every draw from beta reads; built once per b."""
+    over them, which every draw from beta reads; built once per b, from b
+    scaled by a power of two (_pow2_normalized), so at any scale of b."""
     amps = b.amplitudes
     support = np.flatnonzero(amps)
     if support.size == 0:
         raise ValueError("b has no nonzero entries")
-    return support, np.cumsum(np.abs(amps[support]) ** 2)
+    scaled, _ = _pow2_normalized(amps[support])
+    return support, np.cumsum(np.abs(scaled) ** 2)
 
 
 def _draw_beta(b, support_cdf, k, seed):
@@ -267,7 +264,7 @@ def enumerate_born(psi, limit=DENSE_LIMIT):
 def enumerate_beta(b):
     """Exact beta batch over the support of b: (SampleBatch, weights)."""
     support = np.flatnonzero(b.amplitudes)
-    w = np.abs(b.amplitudes[support]) ** 2
+    w = np.abs(_pow2_normalized(b.amplitudes[support])[0]) ** 2
     batch = SampleBatch(indices=support.astype(np.int64),
                         log_amps=np.log(b.amplitudes[support]))
     return batch, w / w.sum()

@@ -390,17 +390,33 @@ class DenseState(Wavefunction):
         return DenseState(self.amplitudes * factor)
 
 
+def _pow2_normalized(values):
+    """(values * 2^-e, e) as complex128, where e is the np.frexp exponent of
+    the largest magnitude among the real and imaginary parts of values, so
+    that part lands in [0.5, 1); e is 0 for all-zero or empty values.
+
+    A power-of-two scale is exact wherever the result is a normal number,
+    so scaled values keep their bits, their squares and sums neither
+    overflow nor underflow to zero together, and a linear map of them is
+    scaled back by 2^e exactly.
+    """
+    parts = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts), initial=0.0))[1])
+    return np.ldexp(parts, -e).view(np.complex128), e
+
+
 def dense_vector(psi, limit=DENSE_LIMIT):
     """Enumerate psi over the full basis, returned unit-normalized.
 
     RBM amplitudes are shifted by the largest log magnitude before
-    exponentiation so enumeration never overflows.
+    exponentiation, and stored amplitudes scaled by a power of two
+    (_pow2_normalized), so enumeration never overflows.
     """
     if psi.n > limit:
         raise CapabilityError(
             f"enumeration limited to n <= {limit}, got n={psi.n}")
     if isinstance(psi, DenseState):
-        v = psi.amplitudes
+        v, _ = _pow2_normalized(psi.amplitudes)
     else:
         la = np.asarray(psi.basis_log_amp())
         v = np.exp(la - la.real.max())

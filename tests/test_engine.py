@@ -406,6 +406,29 @@ def test_scaling_b_gives_bit_identical_training():
     assert traces[0] == traces[1]
 
 
+@pytest.mark.parametrize("path", ["table", "model"])
+def test_scaling_b_by_2_to_the_600_gives_equal_records(monkeypatch, path):
+    # |b|^2 underflows at 2^-600 b and overflows at 2^600 b; every square of
+    # b is taken after an exact power-of-two rescale, so neither shows
+    prob = ising_problem(8, 10.0)
+    b = DenseState(np.random.default_rng(4).random(256) + 0.1)
+    if path == "model":
+        monkeypatch.setattr(engine, "_tabulate", lambda psi, config: psi)
+    runs = []
+    for scale in (1.0, 2.0 ** -600, 2.0 ** 600):
+        psi = init_gaussian(8, seed=2)
+        records = train_vnls(prob.a, b.scaled(scale), psi, TrainConfig(
+            epochs=8, batch_size=128, learning_rate=0.05, seed=2, oracle_every=1))
+        for r in records:
+            r.wall_ms = 0.0
+        runs.append((records, psi.get_params()))
+    records, theta = runs[0]
+    assert all(0.0 < r.fidelity <= 1.0 for r in records)
+    for other, other_theta in runs[1:]:
+        assert other == records
+        assert np.array_equal(other_theta, theta)
+
+
 def test_scaling_a_scales_energies_and_gradients_exactly():
     prob = ising_problem(3, 10.0)
     c = 4.0

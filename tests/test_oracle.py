@@ -204,6 +204,10 @@ def test_fidelity_scale_and_phase_invariant(rng):
     u = random_state(rng, 32)
     assert fidelity(u, 7.0 * u) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(u, np.exp(0.3j) * u) == pytest.approx(1.0, abs=1e-12)
+    # |u|^2 underflows or overflows at these scales; fidelity never squares them
+    w = random_state(rng, 32)
+    for a, b in ((2.0 ** -600, 2.0 ** 600), (2.0 ** 600, 1.0), (2.0 ** -600, 1.0)):
+        assert fidelity(a * u, b * w) == fidelity(u, w)
     v = np.zeros(32, dtype=complex)
     v[0], u2 = 1.0, np.zeros(32, dtype=complex)
     u2[1] = 1.0
@@ -250,6 +254,9 @@ def test_rayleigh_quotient_matches_dense(rng):
     v = random_state(rng, 16)
     assert rayleigh_quotient(h, v) == pytest.approx(
         dense_rayleigh(kron_sum(h), v), abs=1e-10)
+    # |v|^2 underflows or overflows at these scales; the quotient never squares them
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        assert rayleigh_quotient(h, scale * v) == rayleigh_quotient(h, v)
 
 
 def test_extremal_eigs_dense_and_lanczos_agree():
@@ -371,6 +378,12 @@ def test_check_error_bound_scale_invariance():
     assert rep2.kappa_actual == rep1.kappa_actual
     assert rep2.loss == 16.0 * rep1.loss
     assert rep2.norm_a == 4.0 * rep1.norm_a
+    # b's squares underflow or overflow at 2^-+600; its scale still cancels
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        rep = check_error_bound(p.a, p.b.scaled(scale), psi)
+        assert np.array_equal(rep.solution, scale * rep1.solution)
+        for field in OracleReport.CSV_FIELDS:
+            assert getattr(rep, field) == getattr(rep1, field)
 
 
 def test_uncorrected_bound_fails_under_downscaling(rng):

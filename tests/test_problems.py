@@ -229,7 +229,8 @@ def test_load_accepts_comments_and_blank_lines(tmp_path):
     ("n=2\n1.0 Z0\nkappa=5.0\nb sparse\n0 1.0\n", "line 3"),
     ("n=2\nb dense\n1.0 0.0\nb sparse\n0 1.0\n", "duplicate b"),
     ("n=2\n1.0 Z0\nb dense\n1.0 0.0\n", "4 entries"),
-    ("n=2\nb sparse\n9 1.0\n", "out of range"),
+    ("n=2\nb sparse\n9 1.0\n", "line 3: .* out of range"),
+    ("n=2\n1.0 I\nb sparse\n1 1.0\n1 2.0\n", "line 5: duplicate sparse b index 1"),
     ("n=2\nb sparse\nx 1.0\n", "line 3"),
     ("n=2\nb dense\n1.0 oops\n", "line 3"),
     ("n=2\nb dense\n1.0 0.0 0.0\n", "line 3"),

@@ -16,7 +16,7 @@ from vnls import (
     random_pauli_problem,
     sample_beta,
 )
-from vnls.sampling import _BasisTable, _draw_pi, default_chains, seed_seq
+from vnls.sampling import _BasisTable, _draw_pi, default_chains, default_thin, seed_seq
 
 
 def frequencies(indices, dim):
@@ -103,14 +103,16 @@ def test_seed_tuples_give_distinct_streams():
 
 
 def test_remainder_spread_and_chain_order():
-    psi = DenseState(np.ones(8))
+    psi = DenseState(np.arange(1.0, 9.0))
+    # ceil(10 / 4) = ceil(12 / 4): both calls run the same steps on the same draws
+    full, full_states = metropolis_sample(psi, 3, 12, chains=4, seed=0)
     batch, states = metropolis_sample(psi, 3, 10, chains=4, seed=0)
-    assert len(batch) == 10
-    # merge is by chain index: first chains contribute floor(k/chains) each
-    assert len(states) == 4
-    counts = [s.proposed for s in states]
-    assert counts[0] == counts[1] == counts[2]
-    assert counts[3] > counts[0]  # remainder lands on the last chain
+    assert states == full_states
+    assert [s.proposed for s in states] == [10 * 9 + 3 * 3] * 4
+    # the first k % chains chains give one sample more, merged in chain order
+    by_chain = full.indices.reshape(4, 3)
+    want = np.concatenate([by_chain[0], by_chain[1], by_chain[2, :2], by_chain[3, :2]])
+    assert np.array_equal(batch.indices, want)
 
 
 def test_chain_state_fields():
@@ -243,11 +245,36 @@ def test_warm_start_proposes_only_thin_times_count():
     batch, warm = metropolis_sample(psi, 3, 10, chains=4, thin=3, seed=2,
                                     start=fresh)
     assert len(batch) == 10
-    assert [s.proposed for s in warm] == [3 * 2, 3 * 2, 3 * 2, 3 * 4]
+    # every chain runs thin * ceil(k / chains) steps
+    assert [s.proposed for s in warm] == [3 * 3] * 4
     # an explicit burn-in still applies to warm-started chains
     _, burned = metropolis_sample(psi, 3, 10, chains=4, burn_in=7, thin=3,
                                   seed=2, start=fresh)
-    assert [s.proposed for s in burned] == [7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 2, 7 + 3 * 4]
+    assert [s.proposed for s in burned] == [7 + 3 * 3] * 4
+
+
+class CountingModel:
+    """A model that records the size of every log_prob call."""
+
+    def __init__(self, psi):
+        self.psi, self.n, self.calls = psi, psi.n, []
+
+    def log_prob(self, x):
+        self.calls.append(np.size(x))
+        return self.psi.log_prob(x)
+
+    def log_amp(self, x):
+        return self.psi.log_amp(x)
+
+
+def test_every_step_is_one_log_prob_call_over_all_chains():
+    psi = init_gaussian(6, seed=3)
+    _, fresh = metropolis_sample(psi, 6, 255, seed=0)
+    model = CountingModel(psi)
+    batch, warm = metropolis_sample(model, 6, 255, seed=1, start=fresh)
+    assert len(batch) == 255 and len(warm) == 32
+    # ceil(255 / 32) = 8 samples' steps, each over the 32 chains, after the start call
+    assert model.calls == [32] * (1 + default_thin(6) * 8)
 
 
 def chained_warm_starts_total_variation(rng, chains):
@@ -292,21 +319,23 @@ def test_bad_start_rejected():
         metropolis_sample(psi, 3, 16, chains=4, seed=1, start=outside)
 
 
-def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
+def reference_metropolis(psi, n, k, chains=None, burn_in=None, thin=None, seed=0,
                          start=None):
-    """One proposal per lockstep step over every chain, recording each
-    chain's state after its thinned steps: the sampler's loop written
-    plainly, with the sampler's draws from one generator, kept as the
-    reference."""
+    """One proposal per lockstep step over every chain, every chain running
+    the steps of ceil(k / chains) samples, and chain c keeping its first
+    k // chains samples plus one for c < k % chains: the sampler's loop
+    written plainly, with the sampler's draws from one generator, kept as
+    the reference."""
+    if chains is None:
+        chains = max(1, min(k, max(32, k // 8)))
     if burn_in is None:
         burn_in = 10 * n * n if start is None else 0
     if thin is None:
         thin = n if n % 2 else n + 1
     if n < 1 or k < 0 or chains < 1 or burn_in < 0 or thin < 1:
         raise ValueError("bad sampler arguments")
-    base = k // chains
-    counts = [base] * chains
-    counts[-1] += k - base * chains
+    per_chain = (k + chains - 1) // chains
+    counts = [k // chains + (1 if c < k % chains else 0) for c in range(chains)]
     rng = np.random.default_rng(seed_seq(seed))
 
     size = 1 << n
@@ -329,21 +358,18 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     if np.any(lp == -np.inf):
         raise ValueError("a start state has zero amplitude under psi")
 
-    chain_steps = np.array([burn_in + thin * ct for ct in counts], dtype=np.int64)
-    steps = int(chain_steps.max())
+    steps = burn_in + thin * per_chain
     positions = rng.integers(0, n, size=(steps, chains))
     uniforms = rng.random((steps, chains))
     accepted = np.zeros(chains, dtype=np.int64)
-    max_count = max(counts)
-    recorded = np.empty((chains, max_count), dtype=np.int64)
+    recorded = np.empty((chains, per_chain), dtype=np.int64)
 
     with np.errstate(divide="ignore"):
         log_uniforms = np.log(uniforms)
     for step in range(steps):
-        active = step < chain_steps
         proposals = xs ^ (np.int64(1) << positions[step])
         prop_lp = np.asarray(psi.log_prob(proposals), dtype=np.float64)
-        accept = (log_uniforms[step] < prop_lp - lp) & active
+        accept = log_uniforms[step] < prop_lp - lp
         xs = np.where(accept, proposals, xs)
         lp = np.where(accept, prop_lp, lp)
         accepted += accept
@@ -356,8 +382,7 @@ def reference_metropolis(psi, n, k, chains=8, burn_in=None, thin=None, seed=0,
     log_amps = (np.asarray(psi.log_amp(indices), dtype=np.complex128)
                 if k else np.zeros(0, np.complex128))
     batch = SampleBatch(indices=indices, log_amps=log_amps)
-    states = [ChainState(int(xs[c]), int(accepted[c]), int(chain_steps[c]))
-              for c in range(chains)]
+    states = [ChainState(int(xs[c]), int(accepted[c]), steps) for c in range(chains)]
     return batch, states
 
 
@@ -401,6 +426,8 @@ ARGS = [
     dict(k=512, chains=32),
     dict(k=512, chains=64),
     dict(k=1024, chains=128),
+    dict(k=5, chains=8),
+    dict(k=255),
 ]
 
 

@@ -346,6 +346,9 @@ def test_dense_vector_enumeration_and_limit(rng):
     ds = DenseState(v)
     out = dense_vector(ds)
     assert np.allclose(out, v / np.linalg.norm(v))
+    # |v|^2 underflows or overflows at these scales; the enumeration never squares them
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        assert np.array_equal(dense_vector(DenseState(scale * v)), out)
     psi = init_gaussian(4, seed=1)
     out = dense_vector(psi)
     assert np.isclose(np.linalg.norm(out), 1.0)
