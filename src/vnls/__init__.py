@@ -26,9 +26,7 @@ from .operators import (
     PauliSum,
     PauliTerm,
     apply_sum_row,
-    apply_term_row,
     apply_to_state,
-    identity_sum,
     load_operator,
     parse_pauli_sum,
     save_operator,
@@ -84,9 +82,9 @@ __all__ = [
     "estimate_variance", "local_energy_h", "sr_step",
     "train_vnls", "train_vqmc", "vnls_local_energies",
     "CapabilityError", "ParseError",
-    "PauliSum", "PauliTerm", "apply_sum_row", "apply_term_row",
-    "apply_to_state", "identity_sum", "load_operator", "parse_pauli_sum",
-    "save_operator", "to_dense", "to_sparse",
+    "PauliSum", "PauliTerm", "apply_sum_row", "apply_to_state",
+    "load_operator", "parse_pauli_sum", "save_operator", "to_dense",
+    "to_sparse",
     "OracleReport", "check_error_bound", "exact_loss", "exact_solve",
     "extremal_eigs", "fidelity", "ground_state", "ising_identities",
     "operator_norm_and_condition", "rayleigh_quotient", "trace_distance",

@@ -71,7 +71,7 @@ import scipy.linalg
 from . import oracle
 from .errors import CapabilityError
 # expand_rows is not called here; it stays a module attribute only because
-# perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 1
+# perfbench's traced replay wraps engine.expand_rows, until ROADMAP item 14
 # retires that replay
 from .operators import (DENSE_LIMIT, _check_qubits, _log_row_sums,  # noqa: F401
                         _rescale, apply_to_state, expand_rows, to_sparse)
@@ -127,7 +127,9 @@ class _AmpTable:
     ``scaled_amps(k)`` return the values at the k-th array's indices, in
     its shape.  ``scaled_amps`` is psi divided by its largest touched
     magnitude, exp(``shift``), so downstream ratios never overflow.  psi is
-    evaluated once per distinct index, all deduplicated by one np.unique.
+    evaluated once per distinct index, all deduplicated by one np.unique,
+    except a _BasisTable, where each read is one gather and every index is
+    read as given.
     A DenseState is read linearly, which keeps exact zeros (their log is
     -inf and they contribute nothing to any row sum); every other model
     goes through ``log_amp`` with the shift applied in the exponent.
@@ -138,8 +140,11 @@ class _AmpTable:
     def __init__(self, psi, index_arrays):
         arrays = [np.asarray(a, dtype=np.int64) for a in index_arrays]
         self._linear = isinstance(psi, DenseState)
-        indices, inverse = np.unique(
-            np.concatenate([a.reshape(-1) for a in arrays]), return_inverse=True)
+        indices = np.concatenate([a.reshape(-1) for a in arrays])
+        if isinstance(psi, _BasisTable):
+            inverse = np.arange(indices.size)
+        else:
+            indices, inverse = np.unique(indices, return_inverse=True)
         cuts = np.cumsum([a.size for a in arrays])[:-1]
         self._slots = [s.reshape(a.shape)
                        for s, a in zip(np.split(inverse, cuts), arrays)]
@@ -620,7 +625,7 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
                           f"{l_hat.real:.6g}), so the SR step is zero and psi moves only"
                           " if a later epoch draws another state", RuntimeWarning,
                           stacklevel=3)
-        variance = float(np.mean(np.abs(l_all - l_hat) ** 2))
+        variance = estimate_variance(l_all)
         w = counts / len(batch)
         oc = _centred(psi.log_grad(indices), w)  # the rows are ours
         g = _gradient(l - l_hat, oc, w)

@@ -115,12 +115,16 @@ class PauliSum:
         self._square_form = None
         self._sparse = None
 
+    def _term_masks(self):
+        """(flips, signs, weights) arrays, one entry per term, in term order."""
+        return (np.array([t._flip for t in self.terms], dtype=np.int64),
+                np.array([t._signs for t in self.terms], dtype=np.int64),
+                np.array([t._weight for t in self.terms], dtype=np.complex128))
+
     def row_form(self):
         """This sum's compiled RowForm, built on first use."""
         if self._row_form is None:
-            self._row_form = RowForm(
-                [t._flip for t in self.terms], [t._signs for t in self.terms],
-                [t._weight for t in self.terms])
+            self._row_form = RowForm(*self._term_masks())
         return self._row_form
 
     def square_form(self):
@@ -154,6 +158,13 @@ def _run_starts(*keys):
     for k in keys:
         head[1:] |= k[1:] != k[:-1]
     return np.flatnonzero(head)
+
+
+def _signed_weights(xs, signs, weights):
+    """weights * (-1)^{popcount(x & signs)}: one row per x in xs, one
+    column per (signs, weight) string."""
+    odd = (np.bitwise_count(xs[:, None] & signs) & 1).astype(bool)
+    return np.where(odd, -weights, weights)
 
 
 class RowForm:
@@ -207,56 +218,31 @@ class RowForm:
         exact zero where the group's strings cancel on that row.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
-        odd = (np.bitwise_count(xs[:, None] & self.signs) & 1).astype(bool)
-        vals = np.add.reduceat(np.where(odd, -self.weights, self.weights),
+        vals = np.add.reduceat(_signed_weights(xs, self.signs, self.weights),
                                self.starts, axis=1)
         return xs[:, None] ^ self.flips[self.starts], vals
-
-
-def identity_sum(n, coefficient=1.0):
-    """coefficient * I on n qubits."""
-    return PauliSum([PauliTerm(coefficient, {}, n)], n)
-
-
-def apply_term_row(t, x):
-    """The unique nonzero entry (column, value) of row x of term t.
-
-    value = coefficient * (-i)^{#Y} * (-1)^{popcount(x & yz_mask)} and
-    column = x XOR flip_mask.  Vectorizes over an array of row indices.
-    """
-    xs = np.asarray(x, dtype=np.int64)
-    col = xs ^ t._flip
-    parity = np.bitwise_count(xs & t._signs) & 1
-    val = t._weight * (1.0 - 2.0 * parity)
-    if xs.ndim == 0:
-        return int(col), complex(val)
-    return col, val
 
 
 def expand_rows(h, x):
     """Column indices and values of rows x, one slot per term, unmerged.
 
-    Returns arrays of shape (len(x), len(h.terms)).
+    Returns arrays of shape (len(x), len(h.terms)), slots in term order:
+    repeated and cancelling strings keep a slot each.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    cols = np.empty((xs.size, len(h.terms)), dtype=np.int64)
-    vals = np.empty((xs.size, len(h.terms)), dtype=np.complex128)
-    for j, t in enumerate(h.terms):
-        c, v = apply_term_row(t, xs)
-        cols[:, j] = c
-        vals[:, j] = v
-    return cols, vals
+    flips, signs, weights = h._term_masks()
+    return xs[:, None] ^ flips, _signed_weights(xs, signs, weights)
 
 
 def apply_sum_row(h, x):
-    """Sparse row x of h as a list of (column, value).
+    """Sparse row x of h as a list of (column, value), from expand_rows.
 
     Duplicate columns are merged; merged entries below MERGE_TOL are
     dropped.  Entry order follows first appearance, so it is deterministic.
     """
+    cols, vals = expand_rows(h, [x])
     merged = {}
-    for t in h.terms:
-        col, val = apply_term_row(t, int(x))
+    for col, val in zip(cols[0].tolist(), vals[0].tolist()):
         merged[col] = merged.get(col, 0.0j) + val
     return [(c, v) for c, v in merged.items() if abs(v) >= MERGE_TOL]
 

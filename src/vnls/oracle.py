@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, apply_term_row, to_dense,
-                        to_sparse)
+from .operators import (DENSE_LIMIT, DENSE_MATRIX_LIMIT, PauliSum, expand_rows,
+                        to_dense, to_sparse)
 from .states import DenseState, Wavefunction, _pow2_normalized, dense_vector
 
 
@@ -302,11 +302,12 @@ def ising_identities(n, kappa, limit=DENSE_LIMIT):
     b_hat = b / np.sqrt(dim)
 
     # directions ZZ_j b, pairwise orthonormal by the disjoint-sign argument
-    zz_terms = a.terms[n:2 * n - 1]
-    vecs = np.empty((n - 1, dim))
-    for j, t in enumerate(zz_terms):
-        cols, vals = apply_term_row(t, np.arange(dim, dtype=np.int64))
-        vecs[j] = (vals.real / t.coefficient.real) * b_hat[cols].real
+    zz = PauliSum(a.terms[n:2 * n - 1], n)
+    cols, vals = expand_rows(zz, np.arange(dim, dtype=np.int64))
+    coefficients = np.array([t.coefficient.real for t in zz.terms])
+    # row-major, one direction per row, so the Gram product below sums in
+    # the same order as for rows built one term at a time
+    vecs = np.ascontiguousarray(((vals.real / coefficients) * b_hat[cols].real).T)
     gram = vecs @ vecs.T
     gram_dev = float(np.abs(gram - np.eye(n - 1)).max())
 

@@ -3,13 +3,16 @@
 Dense matrices come from straight Kronecker products built here, never from
 the package's own dense converter, so a row-lookup bug cannot vouch for
 itself.  Likewise the dense objective references below use explicit matrix
-algebra rather than the estimators under test.
+algebra rather than the estimators under test.  identity_sum and term_row
+are not oracles but thin builders over the package's PauliSum and
+expand_rows.
 """
 
 import numpy as np
 import pytest
 
 from vnls import PauliSum, PauliTerm
+from vnls.operators import expand_rows
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -34,6 +37,21 @@ def kron_sum(h):
     for t in h.terms:
         out += kron_term(t.coefficient, t.factors, t.n)
     return out
+
+
+def identity_sum(n, coefficient=1.0):
+    """coefficient * I on n qubits."""
+    return PauliSum([PauliTerm(coefficient, {}, n)], n)
+
+
+def term_row(t, x):
+    """The one nonzero entry (column, value) of row x of term t, read
+    through expand_rows: Python scalars for a scalar x, arrays for an
+    array of rows."""
+    cols, vals = expand_rows(PauliSum([t], t.n), x)
+    if np.ndim(x) == 0:
+        return int(cols[0, 0]), complex(vals[0, 0])
+    return cols[:, 0], vals[:, 0]
 
 
 def random_terms(rng, n, count, hermitian=True, max_width=3):

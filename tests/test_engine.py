@@ -29,10 +29,10 @@ from vnls import (
     train_vqmc,
     vnls_local_energies,
 )
-from vnls import CapabilityError, PauliSum, PauliTerm, identity_sum
+from vnls import CapabilityError, PauliSum, PauliTerm
 import vnls.engine as engine
 
-from conftest import dense_rayleigh, dense_vnls_loss, kron_sum, random_sum
+from conftest import dense_rayleigh, dense_vnls_loss, identity_sum, kron_sum, random_sum
 
 
 def exact_objective_h(h, psi):

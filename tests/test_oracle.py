@@ -18,7 +18,6 @@ from vnls import (
     extremal_eigs,
     fidelity,
     ground_state,
-    identity_sum,
     init_gaussian,
     ising_identities,
     ising_problem,
@@ -32,8 +31,8 @@ from vnls import (
 )
 from vnls.operators import RowForm
 
-from conftest import (dense_rayleigh, dense_vnls_loss, kron_sum, random_state,
-                      random_sum, random_terms)
+from conftest import (dense_rayleigh, dense_vnls_loss, identity_sum, kron_sum,
+                      random_state, random_sum, random_terms)
 
 
 def diag_sum(c_id, c_z):
