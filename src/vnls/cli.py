@@ -34,7 +34,8 @@ from .states import (DEFAULT_ALPHA, check_init_options, init_gaussian,
 CSV_HEADER = ("epoch", "loss", "loss_var", "grad_norm", "acceptance",
               "fidelity", "wall_ms")
 
-_MODELS = ("rbm-real", "rbm-complex")
+# init_gaussian flavor of each --model name
+_MODELS = {"rbm-real": "real", "rbm-complex": "complex"}
 
 # option name of each TrainConfig field whose option is named otherwise
 _OPTION_NAMES = {"learning_rate": "lr"}
@@ -46,42 +47,35 @@ _DEFAULTS = {
     **{_OPTION_NAMES.get(f.name, f.name): f.default for f in fields(TrainConfig)},
 }
 
-class RunConfig(dict):
-    """Validated option mapping for one run (defaults < file < flags).
 
-    TrainConfig.validate and check_init_options hold the rules on the
-    options they take; validate() holds only the CLI's own.
-    """
-
-    @classmethod
-    def build(cls, args, file_keys):
-        merged = dict(_DEFAULTS)
-        config_path = getattr(args, "config", None)
-        if config_path:
-            try:
-                loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"config {config_path}: {exc}") from None
-            if not isinstance(loaded, dict):
-                raise ParseError(f"config {config_path}: expected a JSON object")
-            for key in loaded:
-                if key not in file_keys:
-                    raise ParseError(f"config {config_path}: unknown key {key!r}")
-            merged.update(loaded)
-        for key in file_keys:
-            value = getattr(args, key, None)
-            if value is not None:
-                merged[key] = value
-        cfg = cls(merged)
-        cfg.validate()
-        _train_config(cfg).validate()
-        check_init_options(cfg["alpha"], cfg["sigma"], _flavor(cfg))
-        return cfg
-
-    def validate(self):
-        """The model name."""
-        if self["model"] not in _MODELS:
-            raise ParseError(f"unknown model {self['model']!r}")
+def _options(args, file_keys):
+    """Option mapping for one run: defaults, then the --config file (keys
+    limited to file_keys), then flags.  TrainConfig.validate and
+    check_init_options hold the rules on the options they take; only the
+    model name is checked here."""
+    cfg = dict(_DEFAULTS)
+    config_path = getattr(args, "config", None)
+    if config_path:
+        try:
+            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"config {config_path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ParseError(f"config {config_path}: expected a JSON object")
+        for key in loaded:
+            if key not in file_keys:
+                raise ParseError(f"config {config_path}: unknown key {key!r}")
+        cfg.update(loaded)
+    for key in file_keys:
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
+    # a JSON list or object from the file names no model, nor hashes as a key
+    if not isinstance(cfg["model"], str) or cfg["model"] not in _MODELS:
+        raise ParseError(f"unknown model {cfg['model']!r}")
+    _train_config(cfg).validate()
+    check_init_options(cfg["alpha"], cfg["sigma"], _MODELS[cfg["model"]])
+    return cfg
 
 
 def _resolve_problem(args):
@@ -106,15 +100,6 @@ def _train_config(cfg):
                           for f in fields(TrainConfig)})
 
 
-def _flavor(cfg):
-    return "real" if cfg["model"] == "rbm-real" else "complex"
-
-
-def _init_model(cfg, n):
-    return init_gaussian(n, alpha=cfg["alpha"], sigma=cfg["sigma"],
-                         seed=cfg["seed"], flavor=_flavor(cfg))
-
-
 def write_csv(path, header, rows):
     """RFC-4180 CSV file of a header row, then rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -135,7 +120,8 @@ def _run(cfg, a, b, out, checkpoint):
     """One training run, of the solver on (a, b) or, with b None, of the
     ground-state search on a: initialise the model, train it, write the CSV
     to out and the model to checkpoint (if given), and print the report."""
-    psi = _init_model(cfg, a.n)
+    psi = init_gaussian(a.n, alpha=cfg["alpha"], sigma=cfg["sigma"],
+                        seed=cfg["seed"], flavor=_MODELS[cfg["model"]])
     config = _train_config(cfg)
     if b is None:
         records = train_vqmc(a, psi, config)
@@ -159,24 +145,26 @@ def _run(cfg, a, b, out, checkpoint):
     return 0
 
 
-def cmd_solve(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
-    problem = _resolve_problem(args)
-    return _run(cfg, problem.a, problem.b, args.output or "solve.csv",
+def cmd_train(args):
+    """solve, on the problem given, or vqmc, on exactly one of the operator
+    file, the built-in problem's A or the problem file's A."""
+    cfg = _options(args, _DEFAULTS.keys())
+    if args.command == "solve":
+        problem = _resolve_problem(args)
+        a, b = problem.a, problem.b
+    elif sum(v is not None for v in (args.operator, args.ising, args.problem)) != 1:
+        raise ParseError("give exactly one of --operator FILE, --ising N KAPPA "
+                         "or --problem FILE")
+    elif args.operator is not None:
+        a, b = load_operator(args.operator), None
+    else:
+        a, b = _resolve_problem(args).a, None
+    return _run(cfg, a, b, args.output or f"{args.command}.csv",
                 args.save_checkpoint)
 
 
-def cmd_vqmc(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
-    if args.operator is not None:
-        h = load_operator(args.operator)
-    else:
-        h = _resolve_problem(args).a
-    return _run(cfg, h, None, args.output or "vqmc.csv", args.save_checkpoint)
-
-
 def cmd_oracle(args):
-    cfg = RunConfig.build(args, ("dense_limit",))
+    cfg = _options(args, ("dense_limit",))
     problem = _resolve_problem(args)
     # without a checkpoint: how close is b itself to the solution
     psi = load_checkpoint(args.checkpoint) if args.checkpoint else problem.b
@@ -184,6 +172,7 @@ def cmd_oracle(args):
                                limit=cfg["dense_limit"])
     for line in report.to_lines():
         print(line)
+    print(f"lambda_min={report.lambda_min!r}")
     if problem.kappa is not None:
         print(f"kappa_nominal={problem.kappa!r}")
     if args.ising is not None:
@@ -201,7 +190,7 @@ def _tagged(path, tag):
 
 
 def cmd_sweep(args):
-    cfg = RunConfig.build(args, _DEFAULTS.keys())
+    cfg = _options(args, _DEFAULTS.keys())
     if not args.values:
         raise ParseError("sweep needs at least one axis value")
     key, kind, what = (("batch_size", int, "batch size") if args.axis == "batch"
@@ -212,7 +201,7 @@ def cmd_sweep(args):
             value = kind(raw)
         except ValueError:
             raise ParseError(f"bad {what} {raw!r}") from None
-        run_cfg = RunConfig(cfg, seed=cfg["seed"] + i, **{key: value})
+        run_cfg = dict(cfg, seed=cfg["seed"] + i, **{key: value})
         _train_config(run_cfg).validate()
         # batch sizes keep the sample budget batch * epochs; epochs scale
         # inversely with the learning rate
@@ -226,7 +215,7 @@ def cmd_sweep(args):
 
 
 def cmd_ising_scan(args):
-    cfg = RunConfig.build(args, ("dense_limit",))
+    cfg = _options(args, ("dense_limit",))
     try:
         n_min = int(args.n_min)
         n_max = int(args.n_max)
@@ -294,6 +283,13 @@ def _add_run_options(sub):
                      help="write the trained model here")
 
 
+def _add_exact_options(sub, output_help):
+    """The options of the oracle commands, which read only dense_limit."""
+    sub.add_argument("--dense-limit", dest="dense_limit", type=int)
+    sub.add_argument("--config", help="JSON file of option defaults")
+    sub.add_argument("--output", "-o", help=output_help)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="vnls",
@@ -304,21 +300,19 @@ def build_parser():
     solve = commands.add_parser("solve", help="train the linear solver")
     _add_problem_options(solve)
     _add_run_options(solve)
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(func=cmd_train)
 
     vqmc = commands.add_parser("vqmc", help="train a ground-state search")
     _add_problem_options(vqmc)
     vqmc.add_argument("--operator", help="operator file path")
     _add_run_options(vqmc)
-    vqmc.set_defaults(func=cmd_vqmc)
+    vqmc.set_defaults(func=cmd_train)
 
     oracle = commands.add_parser("oracle", help="exact certificate for a problem")
     _add_problem_options(oracle)
     oracle.add_argument("--checkpoint", help="evaluate this trained model "
                                              "(default: evaluate b itself)")
-    oracle.add_argument("--dense-limit", dest="dense_limit", type=int)
-    oracle.add_argument("--config", help="JSON file of option defaults")
-    oracle.add_argument("--output", "-o", help="also write the report as CSV here")
+    _add_exact_options(oracle, "also write the report as CSV here")
     oracle.set_defaults(func=cmd_oracle)
 
     sweep = commands.add_parser("sweep", help="series of solve runs on one axis")
@@ -334,9 +328,7 @@ def build_parser():
     scan.add_argument("n_min")
     scan.add_argument("n_max")
     scan.add_argument("--kappas", nargs="*", default=["10"])
-    scan.add_argument("--dense-limit", dest="dense_limit", type=int)
-    scan.add_argument("--config", help="JSON file of option defaults")
-    scan.add_argument("--output", "-o", help="CSV output path")
+    _add_exact_options(scan, "CSV output path")
     scan.set_defaults(func=cmd_ising_scan)
     return parser
 

@@ -42,8 +42,10 @@ place of the model.  The draw is exact, by inverse CDF over the table (see
 sampling), with no chains: a tabulated run has no burn-in, keeps no chain
 states, and records an acceptance of 1.0, as an independence sampler
 whose proposal is pi accepts every draw; chains and burn_in act only on
-the model path.  Up to n = DENSE_LIMIT, the cap of to_sparse, the energies
-come from whole-basis products with the operator's CSR matrix alone: psi
+the model path.  Whether a run reads a table, and with it the energies'
+route, is decided once per run, at its first epoch (see _train).  Up to
+n = DENSE_LIMIT, the cap of to_sparse, a tabulated run's energies come
+from whole-basis products with the operator's CSR matrix alone: psi
 divided by its largest magnitude over the basis, then A psi and A^2 psi =
 A (A psi) for the solver, or H psi, gathered at the pi samples (a drawn
 state's weight is positive, so there psi lies within 372.6 e-folds of
@@ -271,15 +273,6 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     return l, table.unscale(e_hat)
 
 
-def _whole_basis_matrix(op, source):
-    """to_sparse(op) where an epoch's energies come from whole-basis
-    products over ``source``, a _BasisTable with n <= DENSE_LIMIT; else
-    None, and the row estimators read source."""
-    if op.n > DENSE_LIMIT or not isinstance(source, _BasisTable):
-        return None
-    return to_sparse(op)
-
-
 def _table_energies(table, x, numerator):
     """Local energies numerator(psi)[x] / psi[x] from a _BasisTable.
 
@@ -292,12 +285,6 @@ def _table_energies(table, x, numerator):
     la = table.log_amps
     psi = np.exp(la - la.real.max())
     return numerator(psi)[x] / psi[x]
-
-
-def _table_energy_h(matrix, table, x):
-    """local_energy_h at x from one whole-basis product H psi, with
-    ``matrix`` = to_sparse(h)."""
-    return _table_energies(table, x, lambda psi: matrix @ psi)
 
 
 def _table_vnls_energies(matrix, ab, b, table, x, beta_batch):
@@ -580,7 +567,11 @@ def _check_finite(epoch, name, value, last_loss):
 
 def _train(op, psi, config, energy_fn, exact_target, **states):
     """The SR loop of both trainers, on the energies energy_fn(source,
-    batch, epoch); psi is updated in place.  With oracle_every set,
+    batch, epoch, matrix); psi is updated in place.  The run's route is
+    decided once, by epoch 0's amplitude source: where it is a _BasisTable
+    and n <= DENSE_LIMIT, matrix is to_sparse(op) and the energies come
+    from whole-basis products with it; else matrix is None and they come
+    from the row estimators on the source.  With oracle_every set,
     fidelity is tracked against exact_target(limit) for the run's
     dense_limit, which is read here only.  The first epoch whose pi batch
     holds one state, where the SR step is exactly zero, warns once."""
@@ -602,6 +593,9 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         t0 = time.perf_counter()
         if source is None:
             source = _tabulate(psi, config)
+        if epoch == 0:
+            matrix = (to_sparse(op) if isinstance(source, _BasisTable)
+                      and op.n <= DENSE_LIMIT else None)
         seed = (config.seed, _PI_STREAM, epoch)
         if isinstance(source, _BasisTable):
             batch, acceptance = _draw_pi(source, config.batch_size, seed), 1.0
@@ -615,7 +609,8 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         indices, first, inverse, counts = np.unique(
             batch.indices, return_index=True, return_inverse=True,
             return_counts=True)
-        l = energy_fn(source, SampleBatch(indices, batch.log_amps[first]), epoch)
+        l = energy_fn(source, SampleBatch(indices, batch.log_amps[first]), epoch,
+                      matrix)
         l_all = l[inverse]  # the batch's N energies, for its mean and variance
         l_hat = complex(np.mean(l_all))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
@@ -660,14 +655,15 @@ def train_vqmc(h, psi, config):
 
     H must be Hermitian (real coefficients) and psi on its qubits, else
     ValueError.  Returns the list of EpochRecords; psi is updated in place.
-    With ``oracle_every`` set, fidelity against the exact lowest eigenvector
-    is recorded every that many epochs (requires n <= dense_limit).
+    The energies are H psi or local_energy_h's, by _train's route for the
+    run.  With ``oracle_every`` set, fidelity against the exact lowest
+    eigenvector is recorded every that many epochs (requires n <=
+    dense_limit).
     """
-    def energy(source, batch, epoch):
-        matrix = _whole_basis_matrix(h, source)
+    def energy(source, batch, epoch, matrix):
         if matrix is None:
             return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
-        return _table_energy_h(matrix, source, batch.indices)
+        return _table_energies(source, batch.indices, lambda v: matrix @ v)
 
     return _train(h, psi, config, energy,
                   lambda limit: oracle.ground_state(h, limit))
@@ -677,7 +673,9 @@ def train_vnls(a, b, psi, config):
     """Variational linear solver: drive A psi toward the direction of b.
 
     Per epoch: fresh pi samples from psi, fresh beta samples from b (their
-    RNG streams never overlap), one shared Ehat, one SR update.  With
+    RNG streams never overlap), one shared Ehat, one SR update; the
+    energies come from whole-basis products with A or from
+    vnls_local_energies, by _train's route for the run.  With
     ``oracle_every`` set, fidelity against the exact solution A^{-1} b is
     recorded (requires n <= dense_limit).  A must be Hermitian and psi and b
     on its qubits, else ValueError.
@@ -685,11 +683,10 @@ def train_vnls(a, b, psi, config):
     ab = None  # A b over the whole basis, with the first table
     beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
-    def energy(source, batch, epoch):
+    def energy(source, batch, epoch, matrix):
         nonlocal ab
         beta = _draw_beta(b, beta_cdf, config.batch_size,
                           seed=(config.seed, _BETA_STREAM, epoch))
-        matrix = _whole_basis_matrix(a, source)
         if matrix is None:
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l

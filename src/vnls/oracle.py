@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -177,14 +178,19 @@ def operator_norm_and_condition(a, limit=DENSE_LIMIT):
     indefinite spectrum the smallest one is interior, found by
     shift-invert.  A numerically singular A gets kappa = inf.
     """
+    return _spectrum(a, limit)[:2]
+
+
+def _spectrum(a, limit):
+    """operator_norm_and_condition(a, limit) and lambda_min(A), from the
+    same eigenvalues."""
     if not a.is_hermitian:
         raise ValueError("norm and condition number need a Hermitian operator")
     if a.n <= DENSE_MATRIX_LIMIT:
-        vals = np.abs(np.linalg.eigvalsh(to_dense(a, limit)))
-        hi, lo = float(vals.max()), float(vals.min())
+        vals = np.linalg.eigvalsh(to_dense(a, limit))
+        lmin, lmax, lo = float(vals[0]), float(vals[-1]), float(np.abs(vals).min())
     else:
         lmin, lmax = extremal_eigs(a, limit)
-        hi = max(abs(lmin), abs(lmax))
         if lmin < 0.0 < lmax:
             mat = to_sparse(a, limit).tocsc()
             try:
@@ -197,9 +203,8 @@ def operator_norm_and_condition(a, limit=DENSE_LIMIT):
                 lo = 0.0
         else:
             lo = min(abs(lmin), abs(lmax))
-    if lo == 0.0:
-        return hi, float("inf")
-    return hi, hi / lo
+    hi = max(abs(lmin), abs(lmax))
+    return hi, (float("inf") if lo == 0.0 else hi / lo), lmin
 
 
 def ground_state(h, limit=DENSE_LIMIT):
@@ -236,6 +241,7 @@ class OracleReport:
     norm_a: float
     bound_satisfied: bool
     solution: np.ndarray
+    lambda_min: Optional[float] = None  # not in the CSV; see check_error_bound
 
     CSV_FIELDS = ("n", "fidelity", "trace_distance", "loss", "bound",
                   "kappa_actual", "norm_a", "bound_satisfied")
@@ -267,7 +273,9 @@ def check_error_bound(a, b, psi, solution=None, spectrum=None,
     fidelity, bit for bit at any scale of b whose solution stays in the
     normal range, as exact_solve, exact_loss and fidelity first scale b by
     a power of two.  ``solution`` and ``spectrum = (norm, kappa)`` may be
-    passed to amortize repeated checks against one problem.
+    passed to amortize repeated checks against one problem.  The report's
+    lambda_min, negative for an indefinite A, comes from the eigenvalues
+    that give kappa; it is None where ``spectrum`` is passed.
     """
     vec_psi = _as_vector(psi, a.n, limit)
     sol = exact_solve(a, b, limit) if solution is None else _as_vector(solution, a.n, limit)
@@ -275,12 +283,13 @@ def check_error_bound(a, b, psi, solution=None, spectrum=None,
     fid = min(fid, 1.0)  # roundoff can land at 1 + 1e-16
     dist = float(np.sqrt(max(0.0, 1.0 - fid)))
     loss = exact_loss(a, b, vec_psi, limit)
-    norm_a, kappa = operator_norm_and_condition(a, limit) if spectrum is None else spectrum
+    norm_a, kappa, lambda_min = _spectrum(a, limit) if spectrum is None else (*spectrum, None)
     bound = kappa * float(np.sqrt(loss)) / norm_a
     return OracleReport(
         n=a.n, fidelity=fid, trace_distance=dist, loss=loss, bound=bound,
         kappa_actual=kappa, norm_a=norm_a,
-        bound_satisfied=bool(dist <= bound + 1e-12), solution=sol)
+        bound_satisfied=bool(dist <= bound + 1e-12), solution=sol,
+        lambda_min=lambda_min)
 
 
 def ising_identities(n, kappa, limit=DENSE_LIMIT):

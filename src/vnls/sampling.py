@@ -98,7 +98,8 @@ class _BasisTable:
     proposals (see vnls.engine._tabulate) and passes it in place of the
     model: _draw_pi samples pi from ``log_amps``, and the trainers' local
     energies take whole-basis products with them up to
-    operators.DENSE_LIMIT.  ``log_amp`` gathers from the table, for the row
+    operators.DENSE_LIMIT (the route vnls.engine._train decides once per
+    run).  ``log_amp`` gathers from the table, for the row
     estimators past DENSE_LIMIT, which read it as they would the model, and
     dense_vector reads ``basis_log_amp``.  It holds 16 bytes per basis
     state.

@@ -108,6 +108,22 @@ def test_vqmc_rejects_non_hermitian_operator_file(tmp_path):
                + FAST) == 2
 
 
+@pytest.mark.parametrize("sources", [
+    [], ["operator", "ising"], ["operator", "problem"], ["ising", "problem"],
+    ["operator", "ising", "problem"]], ids="+".join)
+def test_vqmc_takes_exactly_one_source_of_a(tmp_path, capsys, sources):
+    op_path, problem_path = tmp_path / "op.txt", tmp_path / "problem.txt"
+    save_operator(PauliSum([PauliTerm(1.0, {0: "Z"}, 3)], 3), op_path)
+    save_problem(ising_problem(4, 10.0), problem_path)
+    flags = {"operator": ["--operator", op_path], "ising": ["--ising", 4, 10],
+             "problem": ["--problem", problem_path]}
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(["vqmc", *(a for s in sources for a in flags[s]),
+                             "-o", out] + FAST, capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert all(f"--{name}" in err for name in flags)
+
+
 def test_checkpoint_round_trip_through_oracle(tmp_path, capsys):
     ck = tmp_path / "model.npz"
     out = tmp_path / "run.csv"
@@ -132,6 +148,20 @@ def test_oracle_defaults_to_b_as_candidate(tmp_path, capsys):
     assert values["kappa_nominal"] == "10.0"
     assert "ising_gram_deviation" in values
     assert float(values["ising_expansion_residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("kappa, indefinite", [(1000, True), (10, False)])
+def test_oracle_shows_the_sign_of_lambda_min(capsys, kappa, indefinite):
+    # kappa_actual = |lambda|max / |lambda|min reads alike for a definite and
+    # an indefinite A; lambda_min, from the same eigenvalues, tells them apart
+    code, stdout, _ = run(["oracle", "--ising", 10, kappa], capsys)
+    assert code == 0
+    values = dict(ln.split("=", 1) for ln in stdout.splitlines())
+    lambda_min = float(values["lambda_min"])
+    assert (lambda_min < 0.0) == indefinite
+    # here the smallest |lambda| is lambda_min's
+    assert abs(lambda_min) == pytest.approx(
+        float(values["norm_a"]) / float(values["kappa_actual"]), rel=1e-9)
 
 
 def test_oracle_csv_report(tmp_path):

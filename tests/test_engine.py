@@ -31,6 +31,7 @@ from vnls import (
 )
 from vnls import CapabilityError, PauliSum, PauliTerm
 import vnls.engine as engine
+from vnls.operators import RowForm
 
 from conftest import dense_rayleigh, dense_vnls_loss, identity_sum, kron_sum, random_sum
 
@@ -803,7 +804,7 @@ def test_whole_basis_energies_match_the_row_path(flavor, sigma, rng):
                                       prob.b, table, batch.indices, beta)
     want, _ = vnls_local_energies(prob.a, prob.b, psi, batch.indices, beta)
     np.testing.assert_allclose(got, want, rtol=1e-12)
-    got_h = engine._table_energy_h(to_sparse(h), table, batch.indices)
+    got_h = engine._table_energies(table, batch.indices, lambda v: to_sparse(h) @ v)
     want_h = local_energy_h(h, psi, batch.indices)
     np.testing.assert_allclose(got_h, want_h, rtol=1e-12)
 
@@ -835,7 +836,7 @@ def test_whole_basis_energies_finite_wherever_the_row_path_is():
         got = engine._table_vnls_energies(matrix, matrix @ b.amplitudes,
                                           b, table, x, beta)
         want, _ = vnls_local_energies(prob.a, b, psi, x, beta)
-        got_h = engine._table_energy_h(matrix, table, x)
+        got_h = engine._table_energies(table, x, lambda v: matrix @ v)
         want_h = local_energy_h(prob.a, psi, x)
         for g, w in ((got, want), (got_h, want_h)):
             assert np.isfinite(w).all()
@@ -859,6 +860,39 @@ def test_basis_table_is_the_only_model_read(monkeypatch, kind, oracle_every,
         train_vqmc(prob.a, psi, config)
     # one whole-basis log_amp per parameter set that something reads
     assert calls == [("log_amp", 1024)] * (config.epochs + (oracle_every > 0))
+
+
+@pytest.mark.parametrize("n, batch_size, dense_limit, epochs, builds", [
+    (10, 512, 14, 2, 1),   # whole-basis products: one CSR per run
+    (12, 32, 14, 2, 0),    # 2^12 > 6 * 32 * 13: the model path
+    (10, 512, 9, 2, 0),    # rows read from the table, past DENSE_LIMIT
+    (10, 512, 14, 0, 0),   # no epoch
+], ids=["table", "model", "table-rows", "zero-epochs"])
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_whole_basis_matrix_only_on_its_route(monkeypatch, kind, n, batch_size,
+                                              dense_limit, epochs, builds):
+    monkeypatch.setattr(engine, "DENSE_LIMIT", dense_limit)
+    built = []
+    rows = RowForm.rows
+
+    def counted(form, x):
+        if np.array_equal(x, np.arange(1 << n)):
+            built.append(form)
+        return rows(form, x)
+
+    monkeypatch.setattr(RowForm, "rows", counted)
+    prob = ising_problem(n, 10.0)
+    psi = init_gaussian(n, seed=1)
+    calls = _counted(psi)
+    config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.1,
+                         seed=2)
+    if kind == "vnls":
+        train_vnls(prob.a, prob.b, psi, config)
+    else:
+        train_vqmc(prob.a, psi, config)
+    assert len(built) == builds
+    if not epochs:
+        assert calls == []  # nor a table
 
 
 def test_large_basis_keeps_the_model_path():
@@ -1059,10 +1093,10 @@ def _spied_epochs(monkeypatch, kind, flavor, tabulated):
     train, log_grad, sr_solve = engine._train, type(psi).log_grad, engine._sr_solve
 
     def spy_train(op, psi, config, energy_fn, *args, **kwargs):
-        def energy(source, batch, epoch):
-            l = energy_fn(source, batch, epoch)
-            seen[-1].update(batch=batch, l=l,
-                            l_drawn=energy_fn(source, seen[-1]["drawn"], epoch))
+        def energy(source, batch, epoch, matrix):
+            l = energy_fn(source, batch, epoch, matrix)
+            seen[-1].update(batch=batch, l=l, l_drawn=energy_fn(
+                source, seen[-1]["drawn"], epoch, matrix))
             return l
         return train(op, psi, config, energy, *args, **kwargs)
 
