@@ -10,7 +10,8 @@ def main():
     h = parse_pauli_sum("0.5 X0\n-0.25 Z1 Z2\n1.5 I", n)
     print(f"operator on {n} qubits, {len(h)} terms, Hermitian: {h.is_hermitian}")
 
-    # each row has at most one entry per term; the lookup costs O(terms)
+    # one entry per flip group whose strings do not cancel on the row, read
+    # from the compiled rows; the lookup costs one parity per distinct string
     for x in range(1 << n):
         entries = apply_sum_row(h, x)
         pretty = ", ".join(f"[{col:03b}] {val.real:+.2f}" for col, val in entries)

@@ -130,18 +130,12 @@ def _run(cfg, a, b, out, checkpoint):
     write_csv(out, CSV_HEADER, map(_record_row, records))
     if checkpoint:
         save_checkpoint(psi, checkpoint)
-    if b is None:
-        last_loss = records[-1].loss if records else float("nan")
-        print(f"vqmc: n={a.n} epochs={len(records)} final_energy={last_loss:.6g} "
-              f"csv={out}")
-    elif records:
-        last = records[-1]
-        print(f"solve: n={a.n} epochs={len(records)} "
-              f"final_loss={last.loss:.6g} csv={out}")
-        if last.fidelity is not None:
-            print(f"solve: final_fidelity={last.fidelity:.6f}")
-    else:
-        print(f"solve: n={a.n} epochs=0 csv={out}")
+    name, loss_name = ("vqmc", "final_energy") if b is None else ("solve", "final_loss")
+    last = records[-1] if records else None
+    loss = "" if last is None else f"{loss_name}={last.loss:.6g} "
+    print(f"{name}: n={a.n} epochs={len(records)} {loss}csv={out}")
+    if last is not None and last.fidelity is not None:
+        print(f"{name}: final_fidelity={last.fidelity:.6f}")
     return 0
 
 
@@ -191,8 +185,6 @@ def _tagged(path, tag):
 
 def cmd_sweep(args):
     cfg = _options(args, _DEFAULTS.keys())
-    if not args.values:
-        raise ParseError("sweep needs at least one axis value")
     key, kind, what = (("batch_size", int, "batch size") if args.axis == "batch"
                        else ("lr", float, "learning rate"))
     runs = []
@@ -216,28 +208,16 @@ def cmd_sweep(args):
 
 def cmd_ising_scan(args):
     cfg = _options(args, ("dense_limit",))
-    try:
-        n_min = int(args.n_min)
-        n_max = int(args.n_max)
-    except ValueError:
-        raise ParseError("ising-scan sizes must be integers") from None
+    n_min, n_max = args.n_min, args.n_max
     if n_min < 2 or n_max < n_min:
         raise ParseError("need 2 <= n_min <= n_max")
-    kappas = []
-    for raw in args.kappas:
-        try:
-            kappa = float(raw)
-        except ValueError:
-            raise ParseError(f"bad kappa {raw!r}") from None
+    for kappa in args.kappas:
         ising_problem(2, kappa)  # refuses a bad kappa before any row prints
-        kappas.append(kappa)
-    if not kappas:
-        raise ParseError("ising-scan needs at least one kappa")
     if n_max > cfg["dense_limit"]:
         raise CapabilityError(
             f"exact oracle limited to n <= {cfg['dense_limit']}, got n={n_max}")
     rows = []
-    for kappa in kappas:
+    for kappa in args.kappas:
         for n in range(n_min, n_max + 1):
             problem = ising_problem(n, kappa)
             sol = exact_solve(problem.a, problem.b, cfg["dense_limit"])
@@ -318,16 +298,16 @@ def build_parser():
     sweep = commands.add_parser("sweep", help="series of solve runs on one axis")
     _add_problem_options(sweep)
     sweep.add_argument("--axis", choices=("batch", "lr"), required=True)
-    sweep.add_argument("--values", nargs="*", default=[],
+    sweep.add_argument("--values", nargs="+", required=True,
                        help="axis values, e.g. 256 1024 4096")
     _add_run_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     scan = commands.add_parser("ising-scan",
                                help="exact fidelity of b vs solution by size")
-    scan.add_argument("n_min")
-    scan.add_argument("n_max")
-    scan.add_argument("--kappas", nargs="*", default=["10"])
+    scan.add_argument("n_min", type=int)
+    scan.add_argument("n_max", type=int)
+    scan.add_argument("--kappas", type=float, nargs="+", default=[10.0])
     _add_exact_options(scan, "CSV output path")
     scan.set_defaults(func=cmd_ising_scan)
     return parser

@@ -573,7 +573,8 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
     from whole-basis products with it; else matrix is None and they come
     from the row estimators on the source.  With oracle_every set,
     fidelity is tracked against exact_target(limit) for the run's
-    dense_limit, which is read here only.  The first epoch whose pi batch
+    dense_limit, which is read here only; a run of zero epochs checks the
+    size but computes no target.  The first epoch whose pi batch
     holds one state, where the SR step is exactly zero, warns once."""
     if not op.is_hermitian:
         raise ValueError("the operator must be Hermitian (real coefficients)")
@@ -584,7 +585,8 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
     if config.oracle_every:
         if op.n > limit:
             raise CapabilityError(f"fidelity tracking needs n <= {limit}")
-        target = exact_target(limit)
+        if config.epochs:  # a run with no epoch never reads the target
+            target = exact_target(limit)
     records = []
     last_loss = None
     chain_states = None  # model-path chains persist across epochs: burn-in runs once

@@ -6,10 +6,12 @@ term has exactly one nonzero entry per row of its dense matrix, so row x of
 a T-term sum can be recovered in O(n*T) work without ever touching the
 2^n-dimensional space.
 
-Batch evaluation goes through a sum's RowForm, compiled once and cached on
+Every merged row is read from a sum's RowForm, compiled once and cached on
 the sum: terms merged on their (flip, signs) masks and grouped by flip
 mask, so a row costs one parity per distinct Pauli string and yields one
-value per distinct column.  The square A^2 is compiled the same way from
+value per distinct column.  apply_sum_row is that row for one index, with
+exactly cancelling groups left out; expand_rows alone keeps one unmerged
+slot per term.  The square A^2 is compiled the same way from
 the pairwise products of A's strings, so (A^2 psi)(x) reads one amplitude
 per distinct column of row x of A^2: at most T(T+1)/2 for a T-term sum,
 and far fewer when strings share flip masks.
@@ -40,9 +42,6 @@ DENSE_LIMIT = 14
 # Largest qubit count for full 2^n x 2^n matrices (16 MiB at n = 10, 4 GiB
 # at 14): to_dense's default, and the oracle's switch from LAPACK to sparse.
 DENSE_MATRIX_LIMIT = 10
-
-# Entries below this magnitude are dropped when merging a row.
-MERGE_TOL = 1e-15
 
 
 class PauliTerm:
@@ -235,16 +234,11 @@ def expand_rows(h, x):
 
 
 def apply_sum_row(h, x):
-    """Sparse row x of h as a list of (column, value), from expand_rows.
-
-    Duplicate columns are merged; merged entries below MERGE_TOL are
-    dropped.  Entry order follows first appearance, so it is deterministic.
-    """
-    cols, vals = expand_rows(h, [x])
-    merged = {}
-    for col, val in zip(cols[0].tolist(), vals[0].tolist()):
-        merged[col] = merged.get(col, 0.0j) + val
-    return [(c, v) for c, v in merged.items() if abs(v) >= MERGE_TOL]
+    """Sparse row x of h as a list of (column, value), read from
+    h.row_form().rows: one entry per flip group, in group order, with the
+    groups whose strings cancel exactly on row x left out."""
+    cols, vals = h.row_form().rows([x])
+    return [(c, v) for c, v in zip(cols[0].tolist(), vals[0].tolist()) if v != 0.0]
 
 
 def _check_qubits(op, **states):

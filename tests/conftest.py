@@ -5,7 +5,8 @@ the package's own dense converter, so a row-lookup bug cannot vouch for
 itself.  Likewise the dense objective references below use explicit matrix
 algebra rather than the estimators under test.  identity_sum and term_row
 are not oracles but thin builders over the package's PauliSum and
-expand_rows.
+expand_rows; test_compiled_rows sums term_row's one-term entries in a
+dictionary as its reference for the merged rows.
 """
 
 import numpy as np

@@ -69,6 +69,23 @@ def test_zero_epochs_writes_header_only(tmp_path):
     assert read_rows(out) == [list(CSV_HEADER)]
 
 
+def test_zero_epoch_vqmc_reports_no_energy(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    code, stdout, _ = run(["vqmc", "--ising", 3, 10, "--epochs", 0, "-o", out],
+                          capsys)
+    assert code == 0
+    assert read_rows(out) == [list(CSV_HEADER)]
+    assert stdout == f"vqmc: n=3 epochs=0 csv={out}\n"
+
+
+def test_tracked_vqmc_reports_final_fidelity(tmp_path, capsys):
+    code, stdout, _ = run(["vqmc", "--ising", 3, 10, "--oracle-every", 2,
+                           "-o", tmp_path / "vq.csv"] + FAST, capsys)
+    assert code == 0
+    assert "vqmc: n=3 epochs=4 final_energy=" in stdout
+    assert "vqmc: final_fidelity=" in stdout
+
+
 def test_fidelity_column_empty_without_oracle(tmp_path):
     out = tmp_path / "run.csv"
     assert run(["solve", "--ising", 3, 10, "-o", out] + FAST) == 0
@@ -243,6 +260,18 @@ def test_stalled_solve_warns_on_stderr_and_exits_0(tmp_path):
 ])
 def test_config_errors_exit_2(argv):
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ising-scan", 2, "x"],
+    ["ising-scan", 2, 4, "--kappas", "y"],
+    ["ising-scan", 2, 4, "--kappas"],
+    ["sweep", "--ising", 3, 10, "--axis", "batch"],
+])
+def test_malformed_numbers_get_a_usage_error(argv, capsys):
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert "usage:" in err and "Traceback" not in err
 
 
 def test_unallocatable_alpha_exits_2_with_one_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Compiled row forms of Pauli sums and of their squares, against dense
-Kronecker references and the dictionary-merged rows of apply_sum_row."""
+Kronecker references and against rows merged term by term in a dictionary
+here, from conftest.term_row."""
 
 import numpy as np
 import pytest
@@ -8,15 +9,25 @@ from vnls import (
     DenseState,
     PauliSum,
     PauliTerm,
-    apply_sum_row,
     ising_problem,
     parse_pauli_sum,
     sample_beta,
     vnls_local_energies,
 )
-from vnls.operators import MERGE_TOL
+from conftest import kron_sum, random_sum, random_terms, term_row
 
-from conftest import kron_sum, random_sum, random_terms
+# Entries of magnitude below this are left out of a dictionary-merged row.
+MERGE_TOL = 1e-15
+
+
+def merged_row(h, x):
+    """Row x of h as {column: value}, each term's one entry from term_row
+    summed in term order, entries below MERGE_TOL dropped."""
+    merged = {}
+    for t in h.terms:
+        col, val = term_row(t, x)
+        merged[col] = merged.get(col, 0.0j) + val
+    return {c: v for c, v in merged.items() if abs(v) >= MERGE_TOL}
 
 
 def form_to_dense(form, n):
@@ -68,7 +79,7 @@ def test_grouped_rows_equal_merged_sum_rows(rng):
                 assert len(set(cols[x].tolist())) == cols.shape[1]
                 grouped = {int(c): v for c, v in zip(cols[x], vals[x])
                            if abs(v) >= MERGE_TOL}
-                merged = dict(apply_sum_row(a, int(x)))
+                merged = merged_row(a, int(x))
                 assert grouped.keys() == merged.keys()
                 for c, v in merged.items():
                     assert grouped[c] == pytest.approx(v, rel=1e-14, abs=1e-15)

@@ -31,6 +31,7 @@ from vnls import (
 )
 from vnls import CapabilityError, PauliSum, PauliTerm
 import vnls.engine as engine
+import vnls.oracle
 from vnls.operators import RowForm
 
 from conftest import dense_rayleigh, dense_vnls_loss, identity_sum, kron_sum, random_sum
@@ -948,6 +949,25 @@ def test_fidelity_tracking_past_dense_limit_is_refused(kind):
             train_vnls(prob.a, prob.b, init_gaussian(4, seed=0), config)
         else:
             train_vqmc(prob.a, init_gaussian(4, seed=0), config)
+
+
+@pytest.mark.parametrize("kind", ["vnls", "vqmc"])
+def test_zero_epoch_tracked_run_computes_no_target(monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact target computed for a run with no epoch")
+
+    monkeypatch.setattr(vnls.oracle, "ground_state", refuse)
+    monkeypatch.setattr(vnls.oracle, "exact_solve", refuse)
+    prob = ising_problem(4, 10.0)
+    config = TrainConfig(epochs=0, batch_size=16, oracle_every=1)
+    if kind == "vnls":
+        assert train_vnls(prob.a, prob.b, init_gaussian(4, seed=0), config) == []
+    else:
+        assert train_vqmc(prob.a, init_gaussian(4, seed=0), config) == []
+    # the size refusal still comes before any epoch
+    with pytest.raises(CapabilityError, match="fidelity tracking needs n <= 3"):
+        train_vqmc(prob.a, init_gaussian(4, seed=0),
+                   TrainConfig(epochs=0, batch_size=16, oracle_every=1, dense_limit=3))
 
 
 def test_vqmc_refuses_non_hermitian_operator():

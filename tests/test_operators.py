@@ -24,10 +24,12 @@ from vnls.operators import (
     load_operator,
     parse_operator_text,
     save_operator,
+    to_sparse,
 )
 from vnls.states import DenseState, Rbm
 
-from conftest import identity_sum, kron_sum, kron_term, random_sum, term_row
+from conftest import (identity_sum, kron_sum, kron_term, random_sum, random_terms,
+                      term_row)
 
 
 def row_entries(dense, x):
@@ -89,6 +91,32 @@ def test_sum_rows_match_dense_random(rng):
             assert got.keys() == row_entries(dense, x).keys()
             for c, v in row_entries(dense, x).items():
                 assert got[c] == pytest.approx(v, abs=1e-13)
+
+
+def test_sum_row_is_the_compiled_row_without_exact_zeros(rng):
+    dropped = 0
+    for n in range(1, 12):
+        for _ in range(3):
+            terms = random_terms(rng, n, int(rng.integers(1, 8)), hermitian=False,
+                                 max_width=n)
+            q = int(rng.integers(n))
+            w = float(rng.uniform(0.5, 1.0))
+            h = PauliSum(terms + terms[:2]  # repeated strings merge
+                         + [PauliTerm(-terms[0].coefficient, terms[0].factors, n),
+                            # alone in its group, w Z_q + w I is zero where q is set
+                            PauliTerm(w, {q: "Z"}, n), PauliTerm(w, {}, n)], n)
+            matrix = to_sparse(h)
+            for x in rng.integers(1 << n, size=8).tolist():
+                cols, vals = h.row_form().rows([x])
+                expected = [(c, v) for c, v in zip(cols[0].tolist(), vals[0].tolist())
+                            if v != 0.0]
+                got = apply_sum_row(h, x)
+                assert got == expected
+                dropped += cols.shape[1] - len(got)
+                row = matrix[x]
+                assert dict(got) == {int(c): complex(v) for c, v
+                                     in zip(row.indices, row.data) if v != 0.0}
+    assert dropped > 0  # some rows did hold a cancelled group
 
 
 def test_sum_row_merges_and_drops():
