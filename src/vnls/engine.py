@@ -42,19 +42,19 @@ place of the model.  The draw is exact, by inverse CDF over the table (see
 sampling), with no chains: a tabulated run has no burn-in, keeps no chain
 states, and records an acceptance of 1.0, as an independence sampler
 whose proposal is pi accepts every draw; chains and burn_in act only on
-the model path.  Whether a run reads a table, and with it the energies'
-route, is decided once per run, at its first epoch (see _train).  Up to
-n = DENSE_LIMIT, the cap of to_sparse, a tabulated run's energies come
-from whole-basis products with the operator's CSR matrix alone: psi
-divided by its largest magnitude over the basis, then A psi and A^2 psi =
-A (A psi) for the solver, or H psi, gathered at the pi samples (a drawn
-state's weight is positive, so there psi lies within 372.6 e-folds of
-that largest magnitude), with Ehat still the mean over the beta samples.
-Past it the row estimators read the table as they would the model, and
-give the same bits, as the RBM gives every state the same value in any
-batch; up to it the whole-basis products sum in another order, so the
-energies differ from the row estimators' in the last bits.  A run's
-dense_limit bounds only the oracle and fidelity tracking.
+the model path.  The rule reads only n, the batch, thin and psi's kind, so
+a run reads a table at every epoch or at none.  The row estimators read
+the table as they would the model, and give the same bits, as the RBM
+gives every state the same value in any batch; the ground-state trainer
+takes its energies from local_energy_h on every source.  Only the solver
+has a second route: where it reads a table and n <= DENSE_LIMIT, the cap
+of to_sparse, its first epoch builds A's CSR matrix and A b, and its
+energies come from whole-basis products with them (_table_vnls_energies):
+psi divided by its largest magnitude over the basis, then A psi and A^2
+psi = A (A psi), gathered at the pi samples, with Ehat still the mean over
+the beta samples.  These sum in another order, so they differ from the
+row estimators' in the last bits.  A run's dense_limit bounds only the
+oracle and fidelity tracking.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ class _AmpTable:
     A DenseState is read linearly, which keeps exact zeros (their log is
     -inf and they contribute nothing to any row sum); every other model
     goes through ``log_amp`` with the shift applied in the exponent.
-    Training reads a _BasisTable here only past DENSE_LIMIT, and by
-    whole-basis products up to it (see _table_energies).
+    Training reads a _BasisTable here for the ground-state energies at
+    any n, and for the solver's only past DENSE_LIMIT (see train_vnls).
     """
 
     def __init__(self, psi, index_arrays):
@@ -273,31 +273,23 @@ def vnls_local_energies(a, b, psi, x, beta_batch, beta_weights=None):
     return l, table.unscale(e_hat)
 
 
-def _table_energies(table, x, numerator):
-    """Local energies numerator(psi)[x] / psi[x] from a _BasisTable.
+def _table_vnls_energies(matrix, ab, b, table, x, beta_batch):
+    """vnls_local_energies' energies at x from a _BasisTable by whole-basis
+    products: A psi, A^2 psi = A (A psi) and ``ab`` = A b, with ``matrix``
+    = to_sparse(a).
 
     psi holds the table's amplitudes over the whole basis divided by the
-    largest of them, so nothing overflows; ``numerator`` maps it to a
-    whole-basis vector.  Each x is a state drawn from the table, whose
-    weight exp(2 (log|psi(x)| - top)) is positive, so it lies less than
-    372.6 e-folds below the top and psi[x] is a normal number.
+    largest of them, so nothing overflows.  Each x is a state drawn from
+    the table, whose weight exp(2 (log|psi(x)| - top)) is positive, so it
+    lies less than 372.6 e-folds below the top and psi[x] is a normal
+    number.
     """
     la = table.log_amps
     psi = np.exp(la - la.real.max())
-    return numerator(psi)[x] / psi[x]
-
-
-def _table_vnls_energies(matrix, ab, b, table, x, beta_batch):
-    """vnls_local_energies' energies at x from whole-basis products: A psi,
-    A^2 psi = A (A psi) and ``ab`` = A b, with ``matrix`` = to_sparse(a)."""
+    apsi = matrix @ psi
     bx = beta_batch.indices
-
-    def numerator(psi):
-        apsi = matrix @ psi
-        e_hat = (apsi[bx] / b.amp(bx)).mean()
-        return matrix @ apsi - ab * e_hat
-
-    return _table_energies(table, x, numerator)
+    e_hat = (apsi[bx] / b.amp(bx)).mean()
+    return (matrix @ apsi - ab * e_hat)[x] / psi[x]
 
 
 def _normalized_weights(weights, size):
@@ -567,11 +559,9 @@ def _check_finite(epoch, name, value, last_loss):
 
 def _train(op, psi, config, energy_fn, exact_target, **states):
     """The SR loop of both trainers, on the energies energy_fn(source,
-    batch, epoch, matrix); psi is updated in place.  The run's route is
-    decided once, by epoch 0's amplitude source: where it is a _BasisTable
-    and n <= DENSE_LIMIT, matrix is to_sparse(op) and the energies come
-    from whole-basis products with it; else matrix is None and they come
-    from the row estimators on the source.  With oracle_every set,
+    batch, epoch) at the batch's distinct states, where source is the
+    epoch's amplitude source (see _tabulate): psi, or its whole-basis
+    _BasisTable; psi is updated in place.  With oracle_every set,
     fidelity is tracked against exact_target(limit) for the run's
     dense_limit, which is read here only; a run of zero epochs checks the
     size but computes no target.  The first epoch whose pi batch
@@ -595,9 +585,6 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         t0 = time.perf_counter()
         if source is None:
             source = _tabulate(psi, config)
-        if epoch == 0:
-            matrix = (to_sparse(op) if isinstance(source, _BasisTable)
-                      and op.n <= DENSE_LIMIT else None)
         seed = (config.seed, _PI_STREAM, epoch)
         if isinstance(source, _BasisTable):
             batch, acceptance = _draw_pi(source, config.batch_size, seed), 1.0
@@ -611,8 +598,7 @@ def _train(op, psi, config, energy_fn, exact_target, **states):
         indices, first, inverse, counts = np.unique(
             batch.indices, return_index=True, return_inverse=True,
             return_counts=True)
-        l = energy_fn(source, SampleBatch(indices, batch.log_amps[first]), epoch,
-                      matrix)
+        l = energy_fn(source, SampleBatch(indices, batch.log_amps[first]), epoch)
         l_all = l[inverse]  # the batch's N energies, for its mean and variance
         l_hat = complex(np.mean(l_all))
         _check_finite(epoch, "mean local energy", l_hat, last_loss)
@@ -657,15 +643,13 @@ def train_vqmc(h, psi, config):
 
     H must be Hermitian (real coefficients) and psi on its qubits, else
     ValueError.  Returns the list of EpochRecords; psi is updated in place.
-    The energies are H psi or local_energy_h's, by _train's route for the
-    run.  With ``oracle_every`` set, fidelity against the exact lowest
-    eigenvector is recorded every that many epochs (requires n <=
-    dense_limit).
+    The energies are local_energy_h's, by rows, whether the epoch reads psi
+    or its whole-basis table.  With ``oracle_every`` set, fidelity against
+    the exact lowest eigenvector is recorded every that many epochs
+    (requires n <= dense_limit).
     """
-    def energy(source, batch, epoch, matrix):
-        if matrix is None:
-            return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
-        return _table_energies(source, batch.indices, lambda v: matrix @ v)
+    def energy(source, batch, epoch):
+        return local_energy_h(h, source, batch.indices, log_amp_x=batch.log_amps)
 
     return _train(h, psi, config, energy,
                   lambda limit: oracle.ground_state(h, limit))
@@ -675,26 +659,28 @@ def train_vnls(a, b, psi, config):
     """Variational linear solver: drive A psi toward the direction of b.
 
     Per epoch: fresh pi samples from psi, fresh beta samples from b (their
-    RNG streams never overlap), one shared Ehat, one SR update; the
-    energies come from whole-basis products with A or from
-    vnls_local_energies, by _train's route for the run.  With
-    ``oracle_every`` set, fidelity against the exact solution A^{-1} b is
-    recorded (requires n <= dense_limit).  A must be Hermitian and psi and b
-    on its qubits, else ValueError.
+    RNG streams never overlap), one shared Ehat, one SR update.  An epoch
+    that reads psi's whole-basis table at n <= DENSE_LIMIT takes its
+    energies from whole-basis products with A's CSR matrix, built with A b
+    at the first such epoch; every other epoch from vnls_local_energies.
+    With ``oracle_every`` set, fidelity against the exact solution A^{-1} b
+    is recorded (requires n <= dense_limit).  A must be Hermitian and psi
+    and b on its qubits, else ValueError.
     """
-    ab = None  # A b over the whole basis, with the first table
+    whole = None  # (to_sparse(a), A b), from the first whole-basis epoch
     beta_cdf = _beta_cdf(b)  # b never changes: its CDF is built once per run
 
-    def energy(source, batch, epoch, matrix):
-        nonlocal ab
+    def energy(source, batch, epoch):
+        nonlocal whole
         beta = _draw_beta(b, beta_cdf, config.batch_size,
                           seed=(config.seed, _BETA_STREAM, epoch))
-        if matrix is None:
+        if not isinstance(source, _BasisTable) or a.n > DENSE_LIMIT:
             l, _ = vnls_local_energies(a, b, source, batch.indices, beta)
             return l
-        if ab is None:
-            ab = matrix @ b.amplitudes
-        return _table_vnls_energies(matrix, ab, b, source, batch.indices, beta)
+        if whole is None:
+            matrix = to_sparse(a)
+            whole = matrix, matrix @ b.amplitudes
+        return _table_vnls_energies(*whole, b, source, batch.indices, beta)
 
     return _train(a, psi, config, energy,
                   lambda limit: oracle.exact_solve(a, b, limit), b=b)

@@ -96,13 +96,13 @@ class _BasisTable:
 
     Training builds it where the basis is small against an epoch's
     proposals (see vnls.engine._tabulate) and passes it in place of the
-    model: _draw_pi samples pi from ``log_amps``, and the trainers' local
+    model: _draw_pi samples pi from ``log_amps``, and the solver's local
     energies take whole-basis products with them up to
-    operators.DENSE_LIMIT (the route vnls.engine._train decides once per
-    run).  ``log_amp`` gathers from the table, for the row
-    estimators past DENSE_LIMIT, which read it as they would the model, and
-    dense_vector reads ``basis_log_amp``.  It holds 16 bytes per basis
-    state.
+    operators.DENSE_LIMIT (see vnls.engine.train_vnls).  ``log_amp``
+    gathers from the table, for the row estimators, which read it as they
+    would the model: the ground-state trainer's at any n, the solver's past
+    DENSE_LIMIT.  dense_vector reads ``basis_log_amp``.  It holds 16 bytes
+    per basis state.
     """
 
     def __init__(self, psi):
