@@ -19,7 +19,8 @@ state's energy has the same bits in any batch).  log_grad, the centring,
 the gradient and the Fisher matrix run over the U rows with weights
 w = count / N; the Fisher is one SYRK product of the rows scaled by
 sqrt(w), with its smallest value factored out, so that the rows of states
-drawn once are not scaled at all.
+drawn once are not scaled at all.  The SYRK fills only the upper triangle,
+and the SR step's one DPOSV (Cholesky factor and solve) reads only that.
 The estimates are those of the full batch, summed in another order.
 
 Local energies read operator rows from each sum's compiled RowForm (see
@@ -68,7 +69,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from . import oracle
 from .errors import CapabilityError
@@ -352,29 +354,26 @@ def _gradient(lc, oc, w):
 
 
 def _fisher(oc, w):
-    """Real Fisher matrix from centred rows and normalized weights w (see
-    estimate_fisher); overwrites oc with its scaled rows S.
+    """Upper triangle of the real Fisher matrix, in Fortran order, from
+    centred rows and normalized weights w (see estimate_fisher); overwrites
+    oc with its scaled rows S.
 
     sum_k w_k conj(oc_k) oc_k^T = u S^H S, with u the smallest positive
     weight and S the rows scaled by sqrt(w / u), so rows of weight u (in
-    training, the states a batch drew once) stay as they are.  The matrix
-    comes from one real BLAS SYRK product, so it is exactly symmetric:
-    S^T S with the real score's factor 4 = 2^2 for real rows, and for
-    complex rows Re(S^H S) = R^T R with R = [Re S; Im S] stacked; u is
-    applied to the p x p result.
+    training, the states a batch drew once) stay as they are.  One BLAS
+    DSYRK forms alpha S^T S with alpha = 4 u, the real score's factor 4 =
+    2^2, for real rows, and Re(u S^H S) = u R^T R with R = [Re S; Im S]
+    stacked for complex rows.  The strict lower triangle holds zeros.
     """
+    if not oc.shape[1]:  # no parameters, no BLAS call
+        return np.zeros((0, 0))
     unit = w[w > 0.0].min()
     ratio = w / unit
     scaled = ratio != 1.0
     oc[scaled] *= np.sqrt(ratio[scaled])[:, None]
     if np.iscomplexobj(oc):
-        r = np.concatenate([oc.real, oc.imag])
-        f = r.T @ r
-        f *= unit
-    else:
-        f = oc.T @ oc
-        f *= 4.0 * unit
-    return f
+        return scipy.linalg.blas.dsyrk(unit, np.concatenate([oc.real, oc.imag]).T)
+    return scipy.linalg.blas.dsyrk(4.0 * unit, oc.T)
 
 
 def _centred(o, w):
@@ -419,11 +418,14 @@ def estimate_fisher(o, weights=None):
     Complex parameters: the centered matrix <conj(Oc) Oc^T>, Hermitian PSD:
     its real part u R^T R from one real product of R = [Re S; Im S], and
     its imaginary part u (Re S^T Im S - Im S^T Re S).  sr_step works with
-    the real part.  ``weights`` follow the rules of estimate_gradient.
+    the real part.  The SYRK fills the upper triangle of the real part,
+    which is mirrored here into the full matrix.  ``weights`` follow the
+    rules of estimate_gradient.
     """
     o = _own_rows(o)
     w = _normalized_weights(weights, o.shape[0])
     f = _fisher(_centred(o, w), w)  # o now holds the scaled rows S
+    f = f + np.triu(f, 1).T
     if np.iscomplexobj(o):
         cross = o.real.T @ o.imag
         f = f + 1j * ((cross - cross.T) * w[w > 0.0].min())
@@ -447,36 +449,31 @@ def sr_step(theta, sr):
 
 
 def _symmetrized(f):
-    """(Re F + Re F^T) / 2, as a new float64 array."""
+    """(Re F + Re F^T) / 2, as a new float64 array in Fortran order."""
     f = np.asarray(f)
     if np.iscomplexobj(f):
         f = f.real
-    m = np.add(f, f.T, dtype=np.float64)
+    m = np.add(f, f.T, dtype=np.float64, order="F")
     m *= 0.5
     return m
 
 
 def _sr_solve(theta, m, grad, learning_rate, shift, ridge):
-    """sr_step on a real, exactly symmetric Fisher matrix m, which it
-    overwrites with the system matrix and its Cholesky factor."""
-    m.flat[::m.shape[0] + 1] += shift * m.diagonal() + ridge
+    """sr_step on the upper triangle of a real Fisher matrix m in Fortran
+    order, as _fisher returns it; its strict lower triangle is not read.
+    The system matrix is formed on m's diagonal and one LAPACK DPOSV
+    overwrites m's upper triangle with its Cholesky factor."""
+    diagonal = np.diag_indices_from(m)
+    m[diagonal] += shift * m[diagonal] + ridge
     grad = np.asarray(grad)
-    complex_grad = np.iscomplexobj(grad)
-    rhs = np.stack([grad.real, grad.imag], axis=1) if complex_grad else grad
-    fallback = False
-    try:
-        # m is symmetric, so m.T is m in the column-major order LAPACK
-        # factorizes in place, without a copy
-        delta = scipy.linalg.cho_solve(
-            scipy.linalg.cho_factor(m.T, overwrite_a=True, check_finite=False),
-            rhs, check_finite=False)
-        if not np.all(np.isfinite(delta)):
-            raise np.linalg.LinAlgError("non-finite SR solution")
-        if complex_grad:
-            delta = delta[:, 0] + 1j * delta[:, 1]
-    except np.linalg.LinAlgError:
-        delta = grad
-        fallback = True
+    delta, fallback = grad, False
+    if grad.size:
+        complex_grad = np.iscomplexobj(grad)
+        rhs = np.stack([grad.real, grad.imag], axis=1) if complex_grad else grad
+        _, x, info = scipy.linalg.lapack.dposv(m, rhs, overwrite_a=True)
+        fallback = info != 0 or not np.all(np.isfinite(x))
+        if not fallback:
+            delta = x[:, 0] + 1j * x[:, 1] if complex_grad else x
     return theta - learning_rate * delta, fallback
 
 

@@ -280,6 +280,32 @@ def test_sr_step_symmetrizes_an_asymmetric_fisher():
     assert np.allclose(theta, -np.linalg.solve(m, grad), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("kind", [float, complex])
+def test_sr_solve_reads_only_the_upper_triangle(rng, kind):
+    # the Fisher arrives as _fisher's Fortran-ordered upper triangle: NaN
+    # below the diagonal must neither reach the step nor force the fallback
+    a = rng.normal(size=(6, 6))
+    fisher = a @ a.T + 0.1 * np.eye(6)
+    m = fisher + 0.1 * np.diag(np.diag(fisher)) + 1e-3 * np.eye(6)
+    grad = rng.normal(size=6).astype(kind)
+    theta0 = rng.normal(size=6).astype(kind)
+    if kind is complex:
+        grad += 1j * rng.normal(size=6)
+        theta0 += 1j * rng.normal(size=6)
+    upper = np.asfortranarray(fisher)
+    upper[np.tril_indices(6, -1)] = np.nan
+    theta, fallback = engine._sr_solve(theta0, upper, grad, 0.5, 0.1, 1e-3)
+    assert not fallback
+    np.testing.assert_allclose(theta, theta0 - 0.5 * np.linalg.solve(m, grad),
+                               rtol=1e-12)
+    # an upper triangle that is not positive definite still falls back
+    indefinite = np.asfortranarray([[1.0, 2.0], [np.nan, 1.0]])
+    theta, fallback = engine._sr_solve(theta0[:2], indefinite, grad[:2], 0.1,
+                                       0.0, 0.0)
+    assert fallback
+    assert np.array_equal(theta, theta0[:2] - 0.1 * grad[:2])
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_real_gradient_matches_real_part_of_complex_formula(rng, weighted):
     psi = init_gaussian(6, sigma=0.3, seed=4)
@@ -1161,12 +1187,13 @@ def test_epoch_statistics_are_taken_once_per_distinct_state(monkeypatch, kind,
         assert r.loss == float(mean.real) and r.loss_imag == float(mean.imag)
         assert r.loss_var == float(np.mean(np.abs(l_drawn - mean) ** 2))
         # and the SR inputs are the full-batch estimates, summed in another
-        # order: an entry near zero may differ by an ulp of the largest
+        # order: an entry near zero may differ by an ulp of the largest;
+        # _sr_solve reads only the upper triangle of its matrix
         f = estimate_fisher(s["o_drawn"])
         if np.iscomplexobj(f):
             f = engine._symmetrized(f)
         g = estimate_gradient(l_drawn, s["o_drawn"])
-        for got, want in ((s["f"], f), (s["g"], g)):
+        for got, want in ((np.triu(s["f"]), np.triu(f)), (s["g"], g)):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
